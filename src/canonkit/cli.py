@@ -125,11 +125,9 @@ def cmd_quantum(args) -> int:
     seq, bases = _load(args)
     if args.hbar is not None:
         seq = serialize.sequence_from_dict({**serialize.sequence_to_dict(seq), "hbar": args.hbar})
-    if args.quantum_action == "compose":
-        report = reporting.quantum_section(seq, bases, args.from_step, args.to_step, args.tol)
-    else:
-        report = reporting.quantum_section(seq, bases, args.from_step, args.to_step, args.tol)
-        report = {"moves": report["moves"], "hilbert_dims": report["hilbert_dims"]}
+    section = (reporting.quantum_section if args.quantum_action == "compose"
+               else reporting.propagator_section)
+    report = section(seq, bases, args.from_step, args.to_step, args.tol)
     _emit({"quantum": report}, args.format, args.out)
     return 0
 

@@ -163,22 +163,43 @@ class BracketTable:
         )
 
 
+def bracket_matrix(constraints) -> np.ndarray:
+    """Brackets of constraints that share one step, in one matrix product.
+
+    With coefficient rows X and P, ``M = X Pᵀ`` and the table is
+    ``M - Mᵀ``: entry (i, j) is x_i·p_j - x_j·p_i, exactly antisymmetric
+    with a zero diagonal.  The caller ensures the shared step.
+    """
+    cons = list(constraints)
+    if not cons:
+        return np.zeros((0, 0))
+    m = np.stack([c.x_coeffs for c in cons]) @ np.stack([c.p_coeffs for c in cons]).T
+    return m - m.T
+
+
 def bracket_table(constraints, h, basis: ClassifiedBasis, tol: float = DEFAULT_TOL) -> BracketTable:
     """Full bracket table at one step; a constraint is first class iff its
-    bracket row vanishes within tolerance."""
+    bracket row vanishes within tolerance.
+
+    Constraints that all live at one step are bracketed by ``bracket_matrix``;
+    sets with boundary-data or mixed-step constraints go pair by pair through
+    ``poisson_bracket``.
+    """
     constraints = tuple(constraints)
     n = len(constraints)
-    table = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = poisson_bracket(constraints[i], constraints[j])
-            table[i, j] = val
-            table[j, i] = -val
+    steps = [c.step for c in constraints]
+    if not any(isinstance(s, (tuple, list)) for s in steps) and len(set(steps)) <= 1:
+        table = bracket_matrix(constraints)
+    else:
+        table = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                val = poisson_bracket(constraints[i], constraints[j])
+                table[i, j] = val
+                table[j, i] = -val
     scale = max(np.abs(table).max() if table.size else 0.0, 1.0)
-    tags = tuple(
-        "first" if (n == 0 or np.abs(table[i]).max() <= tol * n * scale) else "second"
-        for i in range(n)
-    )
+    row_max = np.abs(table).max(axis=1) if n else np.zeros(0)
+    tags = tuple("first" if r <= tol * n * scale else "second" for r in row_max)
     m = m_lambda_rho(basis, h, tol) if h is not None else 0
     return BracketTable(constraints=constraints, brackets=table, class_split=tags, m_lambda_rho=m)
 

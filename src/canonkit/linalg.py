@@ -1,9 +1,16 @@
 """Deterministic dense linear algebra: ranks, null bases, intersections.
 
-Every other module sits on top of these kernels.  All routines share one
-relative rank threshold (``tol * sigma_max * max(shape)``) and fixed
-ordering/sign conventions, so identical inputs always produce
-bit-identical outputs.
+Every other module sits on top of these kernels.  Null spaces of data
+matrices use one relative rank threshold, ``tol * sigma_max * max(shape)``.
+Subspace intersections and differences work from small SVDs of the
+subspaces' orthonormal bases instead of stacked Q x Q projectors.
+``intersect`` decides on the sines of the principal angles (Björck &
+Golub, Math. Comp. 27, 1973; Golub & Van Loan §6.4), with the cut
+``4 * Q * tol`` in ambient dimension Q.  ``subtract`` takes a small right
+null space with the threshold of ``right_null_basis`` at the scale of the
+stacked matrix it replaces.  Bases are ordered by ascending singular
+value, then index, with the sign of each vector fixed, so identical inputs
+always produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -105,17 +112,22 @@ def empty_subspace(n: int) -> Subspace:
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude component (first on near-ties)
     is positive."""
-    out = rows.copy()
-    for k in range(out.shape[0]):
-        row = out[k]
-        mags = np.abs(row)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        j = int(np.argmax(mags >= top * (1.0 - 1e-12)))
-        if row[j] < 0:
-            out[k] = -row
-    return out
+    mags = np.abs(rows)
+    top = mags.max(axis=1, keepdims=True)
+    lead = np.argmax(mags >= top * (1.0 - 1e-12), axis=1)
+    flip = rows[np.arange(rows.shape[0]), lead] < 0
+    return np.where(flip[:, None], -rows, rows)
+
+
+def _null_rows(s: np.ndarray, vh: np.ndarray, cut: float) -> np.ndarray:
+    """Rows of ``vh`` whose singular value (zero past ``s``) is at most
+    ``cut``, by ascending singular value, then index."""
+    n = vh.shape[1]
+    sigma = np.zeros(n)
+    sigma[: s.size] = s
+    rank = int(np.sum(sigma > cut))
+    idx = sorted(range(rank, n), key=lambda k: (sigma[k], k))
+    return vh[idx] if idx else np.zeros((0, n))
 
 
 def right_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
@@ -133,13 +145,8 @@ def right_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
     if a.shape[0] == 0 or not np.any(a):
         return full_space(n)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    sigma = np.zeros(n)
-    sigma[: s.size] = s
     cut = tol * (s[0] if s.size else 0.0) * max(a.shape)
-    rank = int(np.sum(sigma > cut))
-    idx = sorted(range(rank, n), key=lambda k: (sigma[k], k))
-    rows = _fix_signs(vh[idx]) if idx else np.zeros((0, n))
-    return Subspace(n, rows.T)
+    return Subspace(n, _fix_signs(_null_rows(s, vh, cut)).T)
 
 
 def left_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
@@ -147,28 +154,67 @@ def left_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
     return right_null_basis(as_matrix(m).T, tol)
 
 
-def intersect(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """Intersection of two subspaces.
+def _in_basis(s: Subspace, w: np.ndarray) -> Subspace:
+    """The subspace spanned by coefficient rows ``w`` in the basis of ``s``."""
+    return Subspace(s.ambient_dim, _fix_signs(w @ s.basis.T).T)
 
-    Computed as the null space of the stacked orthogonal-complement
-    projectors, which is deterministic and basis independent.
+
+def intersect(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
+    """Intersection of two subspaces, from their principal angles.
+
+    With orthonormal bases B1 and B2, B2 the one of lower dimension k, the
+    singular values of the Q x k residual ``B2 - B1 (B1ᵀ B2)`` are the sines
+    of the principal angles between the subspaces, and its right singular
+    vectors the matching directions in B2.  Directions whose sine is at
+    most ``4 * Q * tol`` span the intersection.  The decision is made on
+    sines, which resolve small angles, never on cosines near 1.
+
+    The cut carries over the rank rule on the stacked complement projectors
+    ``[I - P1; I - P2]`` (2Q rows, spectral norm up to √2): two directions
+    at angle θ give that matrix the singular value √2 sin(θ/2), and
+    ``√2 sin(θ/2) <= tol * √2 * 2Q`` is ``sin θ <= 4 Q tol`` to first order.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise InputError("ambient dimensions differ")
-    stacked = np.vstack([s1.complement_projector(), s2.complement_projector()])
-    return right_null_basis(stacked, tol)
+    _check_tol(tol)
+    big, small = (s1, s2) if s2.dim <= s1.dim else (s2, s1)
+    q = small.ambient_dim
+    if small.dim == 0:
+        return empty_subspace(q)
+    if big.dim == q:
+        # every sine is zero: all of ``small`` is kept, in its own basis
+        return _in_basis(small, np.eye(small.dim))
+    b = small.basis
+    resid = b - big.basis @ (big.basis.T @ b)
+    _, sines, vh = np.linalg.svd(resid, full_matrices=False)
+    return _in_basis(small, _null_rows(sines, vh, 4.0 * q * tol))
 
 
 def subtract(s: Subspace, *excluded: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of ``s`` intersected with the orthogonal complement
-    of the span of all ``excluded`` subspaces."""
-    blocks = [s.complement_projector()]
+    of the span of all ``excluded`` subspaces.
+
+    The directions are the right null space of the small matrix
+    ``M = [E1 E2 ...]ᵀ S`` of the excluded bases against the basis S of
+    ``s``, mapped back through S.  The rank threshold is the rule of
+    ``right_null_basis`` on the stacked matrix ``[I - P_s; E1ᵀ; E2ᵀ; ...]``
+    that ``M`` condenses: ``tol * max(1, sigma_max(M)) * (Q + sum dim E)``,
+    where the scale is that matrix's spectral norm whenever the excluded
+    subspaces lie inside ``s``.
+    """
+    _check_tol(tol)
     for e in excluded:
         if e.ambient_dim != s.ambient_dim:
             raise InputError("ambient dimensions differ")
-        if e.dim:
-            blocks.append(e.basis.T)
-    return right_null_basis(np.vstack(blocks), tol)
+    blocks = [e.basis.T for e in excluded if e.dim]
+    if s.dim == 0:
+        return empty_subspace(s.ambient_dim)
+    if not blocks:
+        return _in_basis(s, np.eye(s.dim))
+    m = np.vstack(blocks) @ s.basis
+    _, sv, vh = np.linalg.svd(m, full_matrices=True)
+    cut = tol * max(1.0, sv[0]) * (s.ambient_dim + m.shape[0])
+    return _in_basis(s, _null_rows(sv, vh, cut))
 
 
 def span_of_rows(rows, ambient_dim: int, tol: float = DEFAULT_TOL) -> Subspace:

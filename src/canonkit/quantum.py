@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import ClassifiedBasis
+from .constraints import bracket_matrix
 from .errors import (
     DegeneracyError,
     DivergenceError,
@@ -336,16 +337,17 @@ class GaussianState:
 
 
 def _abelian_or_raise(constraints, tol):
+    """The constraints as a list; raises unless every pairwise bracket is
+    below ``tol * Q * max(s_i, s_j, 1)**2`` for coefficient scales s."""
     cons = list(constraints)
-    for i, ci in enumerate(cons):
-        for cj in cons[i + 1:]:
-            br = ci.x_coeffs @ cj.p_coeffs - ci.p_coeffs @ cj.x_coeffs
-            scale = max(
-                np.abs(ci.p_coeffs).max(), np.abs(ci.x_coeffs).max(),
-                np.abs(cj.p_coeffs).max(), np.abs(cj.x_coeffs).max(), 1.0,
-            )
-            if abs(br) > tol * ci.p_coeffs.size * scale**2:
-                raise InputError("projector requires an abelian constraint set")
+    if len(cons) < 2:
+        return cons
+    scale = np.array([
+        max(np.abs(c.p_coeffs).max(), np.abs(c.x_coeffs).max(), 1.0) for c in cons
+    ])
+    limit = tol * cons[0].p_coeffs.size * np.maximum.outer(scale, scale) ** 2
+    if np.any(np.abs(bracket_matrix(cons)) > limit):
+        raise InputError("projector requires an abelian constraint set")
     return cons
 
 

@@ -141,7 +141,8 @@ def kernel_summary(kernel):
     }
 
 
-def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
+def _move_kernels(seq, bases, from_step, to_step, tol):
+    """Propagator and pre/post Hilbert dimensions of every move in range."""
     kernels = {}
     move_dims = {}
     for m in seq.moves:
@@ -157,12 +158,27 @@ def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
             }
     if not kernels:
         raise InputError(f"no moves between steps {from_step} and {to_step}")
+    return kernels, move_dims
+
+
+def _kernel_summaries(kernels):
+    return {f"{a}->{b}": kernel_summary(k) for (a, b), k in kernels.items()}
+
+
+def propagator_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
+    """Per-move propagators and Hilbert dimensions; nothing is composed."""
+    kernels, move_dims = _move_kernels(seq, bases, from_step, to_step, tol)
+    return {"moves": _kernel_summaries(kernels), "hilbert_dims": move_dims}
+
+
+def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
+    kernels, move_dims = _move_kernels(seq, bases, from_step, to_step, tol)
     keys = sorted(kernels)
     composed = kernels[keys[0]]
     for key in keys[1:]:
         composed = compose_kernels(composed, kernels[key], bases[key[0]], tol)
     section = {
-        "moves": {f"{a}->{b}": kernel_summary(k) for (a, b), k in kernels.items()},
+        "moves": _kernel_summaries(kernels),
         "composed": kernel_summary(composed),
         "hilbert_dims": move_dims,
     }
@@ -305,11 +321,12 @@ def render_text(report) -> str:
                 f"kernel {name}: modulus = {k['modulus']:.6g}, "
                 f"i_exponent = {k['i_exponent']}, deltas = {k['delta_count']}"
             )
-        k = sec["composed"]
-        lines.append(
-            f"composed {k['in_step']}->{k['out_step']}: modulus = {k['modulus']:.6g}, "
-            f"i_exponent = {k['i_exponent']}, deltas = {k['delta_count']}"
-        )
+        if "composed" in sec:
+            k = sec["composed"]
+            lines.append(
+                f"composed {k['in_step']}->{k['out_step']}: modulus = {k['modulus']:.6g}, "
+                f"i_exponent = {k['i_exponent']}, deltas = {k['delta_count']}"
+            )
         for step, d in sorted(sec["hilbert_dims"].items()):
             lines.append(f"  hilbert dims at {step}: pre = {d['pre']}, post = {d['post']}")
     return "\n".join(lines)

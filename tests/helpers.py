@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from canonkit.actions import QuadraticMove
+from canonkit.classify import VECTOR_TYPES
+from canonkit.linalg import Subspace, right_null_basis
 
 
 def random_orthogonal(rng, n):
@@ -226,3 +228,27 @@ def consistent_chain_data(m1, m2, rng):
     resid = np.abs(m2.c @ x2 - rhs).max()
     assert resid < 1e-8 * max(1.0, np.abs(rhs).max()), "inconsistent chain sample"
     return x0, x1, x2
+
+
+# ---------------------------------------------------------------------------
+# stacked-projector subspace oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_intersect(s1, s2, tol=1e-10):
+    """Intersection as the null space of the stacked complement projectors
+    [I - P1; I - P2]: the full-SVD reference for linalg.intersect."""
+    stacked = np.vstack([s1.complement_projector(), s2.complement_projector()])
+    return right_null_basis(stacked, tol)
+
+
+def oracle_subtract(s, *excluded, tol=1e-10):
+    """``s`` minus the span of ``excluded`` as the null space of
+    [I - P_s; E1ᵀ; E2ᵀ; ...]: the full-SVD reference for linalg.subtract."""
+    blocks = [s.complement_projector()] + [e.basis.T for e in excluded if e.dim]
+    return right_null_basis(np.vstack(blocks), tol)
+
+
+def label_groups(basis):
+    """Subspace spanned by each label's rows of a classified basis."""
+    return {t: Subspace(basis.dim, basis.block(t).T) for t in VECTOR_TYPES}

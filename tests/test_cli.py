@@ -262,3 +262,22 @@ def test_env_tolerance(monkeypatch, fixture_files):
     assert main(["classify", "--input", str(moves), "--step", "1"]) == 2
     monkeypatch.setenv("CANONKIT_TOL", "1e-8")
     assert main(["classify", "--input", str(moves), "--step", "1"]) == 0
+
+
+def test_quantum_propagator_composes_nothing(fixture_files, capsys, monkeypatch):
+    moves, bases = fixture_files
+
+    def no_composition(*args, **kwargs):
+        raise AssertionError("propagator must not compose kernels")
+
+    monkeypatch.setattr(reporting, "compose_kernels", no_composition)
+    code = main(["quantum", "propagator", "--input", str(moves), "--from", "0",
+                 "--to", "2", "--basis", str(bases), "--format", "json"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)["quantum"]
+    assert sorted(data) == ["hilbert_dims", "moves"]
+    assert sorted(data["moves"]) == ["0->1", "1->2"]
+    assert sorted(data["hilbert_dims"]) == ["0->1", "1->2"]
+    assert main(["quantum", "propagator", "--input", str(moves), "--from", "0",
+                 "--to", "2", "--basis", str(bases)]) == 0
+    assert "kernel 1->2" in capsys.readouterr().out
