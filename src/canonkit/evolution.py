@@ -18,6 +18,9 @@ from .actions import QuadraticMove
 from .classify import (
     ClassifiedBasis,
     LEFT_TYPES,
+    NULL_TYPES,
+    POST_OBS_TYPES,
+    PRE_OBS_TYPES,
     RIGHT_TYPES,
     hessian_block,
     m_lambda_rho,
@@ -30,7 +33,7 @@ from .errors import (
     InputError,
     InternalError,
 )
-from .linalg import DEFAULT_TOL, numeric_rank
+from .linalg import DEFAULT_TOL, check_regular, numeric_rank
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,9 @@ def _free_vector(basis, rows, free_values):
     )
 
 
-def _square_block(c_matrix, basis_from, basis_to):
+def observable_block(c_matrix, basis_from, basis_to, tol: float):
+    """Pre-observable rows A, post-observable rows B and the block c_AB,
+    which must be square and regular (``check_regular``)."""
     a_rows = basis_from.pre_observable_rows
     b_rows = basis_to.post_observable_rows
     block = basis_from.T[a_rows] @ c_matrix @ basis_to.T[b_rows].T
@@ -92,15 +97,8 @@ def _square_block(c_matrix, basis_from, basis_to):
             f"observable block is {block.shape[0]}x{block.shape[1]}; the two "
             "bases are classified against different data"
         )
+    check_regular(block, tol, "observable block c_AB")
     return a_rows, b_rows, block
-
-
-def _check_invertible(block, tol, what):
-    if block.size == 0:
-        return
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * block.shape[0]:
-        raise DegeneracyError(f"{what} is singular; classification inconsistent")
 
 
 def forward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
@@ -127,8 +125,7 @@ def forward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
             f"violated by {residuals[k]:.3e} at step {data.step}"
         )
 
-    a_rows, b_rows, c_ab = _square_block(move.c, basis_from, basis_to)
-    _check_invertible(c_ab, tol, "c_AB")
+    a_rows, b_rows, c_ab = observable_block(move.c, basis_from, basis_to, tol)
     x_split_from = basis_from.to_split_config(data.x)
 
     x_split_to = np.zeros(move.dim)
@@ -172,8 +169,7 @@ def backward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
             f"violated by {residuals[k]:.3e} at step {data.step}"
         )
 
-    a_rows, b_rows, c_ab = _square_block(move.c, basis_from, basis_to)
-    _check_invertible(c_ab, tol, "c_AB")
+    a_rows, b_rows, c_ab = observable_block(move.c, basis_from, basis_to, tol)
     x_split_to = basis_to.to_split_config(data.x)
 
     x_split_from = np.zeros(move.dim)
@@ -202,8 +198,9 @@ def boundary_solve(move1: QuadraticMove, move2: QuadraticMove,
                    multipliers=None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Middle configuration of a two-move chain from outer configurations.
 
-    Solves h x = -(c1ᵀ x_initial + c2 x_final) on the alpha block; the
-    h-null rows (I, l, r, z) stay free and are filled from ``multipliers``.
+    Solves h x = -s, s = c1ᵀ x_initial + c2 x_final, on the alpha block as
+    x = Tᵀ x_free - h⁺ s; the h-null rows (I, l, r, z) of x_free stay free
+    and are filled from ``multipliers``.
     The source must be orthogonal to the null rows, otherwise the boundary
     data violates a holonomic or boundary-data constraint.
     """
@@ -212,7 +209,6 @@ def boundary_solve(move1: QuadraticMove, move2: QuadraticMove,
     q = basis_mid.dim
     if x0.shape != (q,) or x2.shape != (q,):
         raise InputError("boundary configurations must match the dimension")
-    h = move1.b + move2.a
     source = move1.c.T @ x0 + move2.c @ x2
     scale = max(np.abs(source).max(), np.abs(x0).max(), np.abs(x2).max(), 1.0)
     for label in ("z", "l", "r"):
@@ -224,15 +220,11 @@ def boundary_solve(move1: QuadraticMove, move2: QuadraticMove,
                     f"{kind} constraint from row {k} ({label}) violated by {val:.3e}"
                 )
 
-    alpha = basis_mid.alpha_rows
+    h_plus = basis_mid.restricted_hessian_inverse(move1.b + move2.a, tol)
     x_split = np.zeros(q)
-    if alpha.size:
-        block = basis_mid.T[alpha] @ h @ basis_mid.T[alpha].T
-        _check_invertible(block, tol, "alpha block of the Hessian")
-        x_split[alpha] = -np.linalg.solve(block, basis_mid.T[alpha] @ source)
-    free_rows = basis_mid.rows_of("I", "l", "r", "z")
+    free_rows = basis_mid.rows_of(*NULL_TYPES)
     x_split[free_rows] = _free_vector(basis_mid, free_rows, multipliers)
-    return basis_mid.from_split_config(x_split)
+    return basis_mid.from_split_config(x_split) - h_plus @ source
 
 
 @dataclass(frozen=True)
@@ -267,8 +259,8 @@ def variable_roles(basis: ClassifiedBasis) -> tuple:
             VariableRole(
                 row=k,
                 label=lab,
-                pre_observable=lab in ("r", "rho", "z", "gamma"),
-                post_observable=lab in ("l", "lambda", "z", "gamma"),
+                pre_observable=lab in PRE_OBS_TYPES,
+                post_observable=lab in POST_OBS_TYPES,
                 a_priori_free=lab in RIGHT_TYPES,
                 a_posteriori_free=lab in LEFT_TYPES,
                 gauge=lab == "I",
@@ -363,12 +355,7 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
 
     h_hh = hessian_block(basis, h, "H", "H")
     if rows_h.size:
-        sv = np.linalg.svd(h_hh, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * rows_h.size:
-            raise DegeneracyError(
-                "H block of the Hessian is singular: a pair of second-class "
-                "constraints commutes; reclassify the step"
-            )
+        check_regular(h_hh, tol, "H block of the Hessian (a second-class pair commutes)")
         h_ht = basis.T[rows_h] @ h @ basis.T[tilde].T if tilde.size else np.zeros((rows_h.size, 0))
         x_h = -np.linalg.solve(h_hh, h_ht @ x_split[tilde]) if tilde.size else np.zeros(rows_h.size)
     else:
@@ -388,7 +375,7 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
     s_lr = schur(rows_l, rows_r)
     s_lg = schur(rows_l, rows_g)
     s_ll = schur(rows_l, rows_l)
-    m = numeric_rank(s_lr, tol) if s_lr.size else 0
+    m = numeric_rank(s_lr, tol)
 
     fixed_rows = ()
     x_rho = np.zeros(0)

@@ -226,6 +226,30 @@ def span_of_rows(rows, ambient_dim: int, tol: float = DEFAULT_TOL) -> Subspace:
     return subtract(full_space(ambient_dim), right_null_basis(rows, tol), tol=tol)
 
 
+def check_regular(block, tol: float, what: str) -> None:
+    """Raise DegeneracyError, naming ``what``, unless the square ``block`` is
+    invertible beyond tolerance: sigma_min > tol * sigma_max * n.
+
+    This is the one regularity rule for the blocks the classification
+    promises to be invertible (the alpha block of the Hessian, the observable
+    block c_AB, the H block).  An empty block is regular.
+    """
+    n = block.shape[0]
+    if n == 0:
+        return
+    sv = np.linalg.svd(block, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * n:
+        raise DegeneracyError(f"{what} is singular beyond tolerance")
+
+
+def inverse_on_rows(h: np.ndarray, rows: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """``Bᵀ (B h Bᵀ)⁻¹ B`` for the rows B, after ``check_regular`` on B h Bᵀ;
+    zero when B has no rows."""
+    block = rows @ h @ rows.T
+    check_regular(block, tol, what)
+    return rows.T @ np.linalg.solve(block, rows)
+
+
 def restricted_inverse(h, s: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Invert a symmetric matrix on a subspace, annihilating its complement.
 
@@ -243,13 +267,4 @@ def restricted_inverse(h, s: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise InputError("matrix must be symmetric")
     if s.ambient_dim != q:
         raise InputError("subspace ambient dimension mismatch")
-    if s.dim == 0:
-        return np.zeros((q, q))
-    rows = s.basis.T
-    block = rows @ a @ rows.T
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * s.dim:
-        raise DegeneracyError(
-            "matrix restricted to the subspace is singular beyond tolerance"
-        )
-    return rows.T @ np.linalg.solve(block, rows)
+    return inverse_on_rows(a, s.basis.T, tol, "matrix restricted to the subspace")

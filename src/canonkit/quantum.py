@@ -14,13 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import ClassifiedBasis
-from .constraints import bracket_matrix
+from .classify import ALPHA_TYPES, ClassifiedBasis, hessian_block
+from .constraints import bracket_matrix, independent_count
+from .effective import Q_TYPES, _eliminate
 from .errors import (
     DegeneracyError,
     DivergenceError,
     InputError,
 )
+from .evolution import observable_block
 from .linalg import DEFAULT_TOL, as_matrix, numeric_rank
 
 TWO_PI = 2.0 * np.pi
@@ -166,6 +168,23 @@ class GaussianDeltaKernel:
         return val
 
 
+def _move_measure(c, basis_from: ClassifiedBasis, basis_to: ClassifiedBasis,
+                  hbar: float, tol: float) -> Amplitude:
+    """sqrt((-2 pi i hbar)^(-N_A) |det T_from^-1 det c_AB det T_to^-1|) for
+    the cross matrix ``c`` between two classified steps."""
+    _, _, c_ab = observable_block(c, basis_from, basis_to, tol)
+    n_a = c_ab.shape[0]
+    logdet_cab = np.linalg.slogdet(c_ab)[1] if n_a else 0.0
+    log_mod = 0.5 * (
+        -n_a * np.log(TWO_PI * hbar)
+        + logdet_cab
+        - np.log(basis_from.abs_det)
+        - np.log(basis_to.abs_det)
+    )
+    # sqrt((-i)^(-N_A)) = exp(i pi N_A / 4): N_A eighth turns
+    return Amplitude(log_modulus=log_mod, i_exponent=n_a, phase=0.0)
+
+
 def propagator_from_move(move, basis_from: ClassifiedBasis, basis_to: ClassifiedBasis,
                          hbar: float = 1.0, tol: float = DEFAULT_TOL) -> GaussianDeltaKernel:
     """Physical propagator of one move: measure times exp(i S / hbar).
@@ -174,30 +193,11 @@ def propagator_from_move(move, basis_from: ClassifiedBasis, basis_to: Classified
     det c_AB det T_to^-1|), the unique choice making the move's evolution
     map unitary between its physical Hilbert spaces.
     """
-    a_rows = basis_from.pre_observable_rows
-    b_rows = basis_to.post_observable_rows
-    if a_rows.size != b_rows.size:
-        raise DegeneracyError(
-            "pre- and post-observable counts differ; bases are inconsistent"
-        )
-    n_a = int(a_rows.size)
-    c_ab = basis_from.T[a_rows] @ move.c @ basis_to.T[b_rows].T
-    sign, logdet_cab = np.linalg.slogdet(c_ab) if n_a else (1.0, 0.0)
-    if n_a and (sign == 0 or not np.isfinite(logdet_cab)):
-        raise DegeneracyError("c_AB singular: classification inconsistent with move")
-    log_mod = 0.5 * (
-        -n_a * np.log(TWO_PI * hbar)
-        + logdet_cab
-        - np.log(basis_from.abs_det)
-        - np.log(basis_to.abs_det)
-    )
-    # sqrt((-i)^(-N_A)) = exp(i pi N_A / 4): N_A eighth turns
-    amp = Amplitude(log_modulus=log_mod, i_exponent=n_a, phase=0.0)
     return GaussianDeltaKernel(
         in_step=move.step_from,
         out_step=move.step_to,
         hbar=hbar,
-        amplitude=amp,
+        amplitude=_move_measure(move.c, basis_from, basis_to, hbar, tol),
         A=move.a,
         B=move.b,
         C=move.c,
@@ -237,34 +237,22 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
             )
     hbar = k1.hbar
     h = k1.B + k2.A
+    h_plus = basis_mid.restricted_hessian_inverse(h, tol)
+    a_eff, b_eff, c_eff = _eliminate(k1.A, k1.C, k2.B, k2.C, h_plus)
 
-    alpha = basis_mid.alpha_rows
+    n_alpha = basis_mid.alpha_rows.size
     amp = k1.amplitude.times(k2.amplitude)
     amp = amp.times_log(np.log(basis_mid.abs_det))
-    if alpha.size:
-        block = basis_mid.T[alpha] @ h @ basis_mid.T[alpha].T
-        lam = np.linalg.eigvalsh(block)
-        scale = max(np.abs(lam).max(), 1e-300)
-        if np.abs(lam).min() <= tol * alpha.size * scale:
-            raise DegeneracyError(
-                "alpha block of the glued-step Hessian is singular; "
-                "classification inconsistent"
-            )
+    if n_alpha:
+        lam = np.linalg.eigvalsh(hessian_block(basis_mid, h, ALPHA_TYPES, ALPHA_TYPES))
         signature = int(np.sum(lam > 0) - np.sum(lam < 0))
         amp = amp.times_log(
-            0.5 * alpha.size * np.log(TWO_PI * hbar) - 0.5 * np.sum(np.log(np.abs(lam))),
+            0.5 * n_alpha * np.log(TWO_PI * hbar) - 0.5 * np.sum(np.log(np.abs(lam))),
             i_exponent=signature,
         )
-        h_plus = basis_mid.T[alpha].T @ np.linalg.solve(block, basis_mid.T[alpha])
-    else:
-        h_plus = np.zeros((q, q))
-
-    a_eff = k1.A - k1.C @ h_plus @ k1.C.T
-    b_eff = k2.B - k2.C.T @ h_plus @ k2.C
-    c_eff = -k1.C @ h_plus @ k2.C
 
     new_deltas, new_labels = [], []
-    for label in ("l", "r", "z"):
+    for label in Q_TYPES:
         for k in basis_mid.rows_of(label):
             row = basis_mid.T[k]
             d = np.concatenate([k1.C @ row, k2.C.T @ row])
@@ -533,16 +521,10 @@ def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
     """
     if kernel.deltas.shape[0]:
         raise InputError("unitarity check applies to delta-free propagators")
-    a_rows = basis_from.pre_observable_rows
-    b_rows = basis_to.post_observable_rows
-    if a_rows.size != b_rows.size:
+    try:
+        target = _move_measure(kernel.C, basis_from, basis_to, kernel.hbar, tol).log_modulus
+    except DegeneracyError:
         return False
-    n_a = int(a_rows.size)
-    c_ab = basis_from.T[a_rows] @ kernel.C @ basis_to.T[b_rows].T
-    if n_a:
-        sv = np.linalg.svd(c_ab, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * n_a:
-            return False
     scale = max(np.abs(kernel.C).max(), 1.0)
     left = basis_from.T[basis_from.left_rows] @ kernel.C
     right = kernel.C @ basis_to.T[basis_to.right_rows].T
@@ -550,31 +532,12 @@ def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
         return False
     if right.size and np.abs(right).max() > tol * kernel.dim_in * scale:
         return False
-    sign, logdet_cab = np.linalg.slogdet(c_ab) if n_a else (1.0, 0.0)
-    target = 0.5 * (
-        -n_a * np.log(TWO_PI * kernel.hbar)
-        + logdet_cab
-        - np.log(basis_from.abs_det)
-        - np.log(basis_to.abs_det)
-    )
     return bool(abs(kernel.log_modulus - target) <= 1e3 * tol * max(abs(target), 1.0))
 
 
 def hilbert_dims(constraints, dim: int, tol: float = DEFAULT_TOL) -> int:
     """Observable dimensions at a step: dim minus independent constraints."""
-    cons = list(constraints)
-    if not cons:
-        return dim
-    rows = []
-    for c in cons:
-        other = c.x_coeffs_other if c.x_coeffs_other is not None else np.zeros(0)
-        rows.append(np.concatenate([c.p_coeffs, c.x_coeffs, other])
-                    if other.size else np.concatenate([c.p_coeffs, c.x_coeffs]))
-    width = max(r.size for r in rows)
-    stack = np.zeros((len(rows), width))
-    for k, r in enumerate(rows):
-        stack[k, : r.size] = r
-    n_independent = numeric_rank(stack, tol)
+    n_independent = independent_count(constraints, tol)
     if n_independent > dim:
         raise InputError("more independent constraints than dimensions")
     return dim - n_independent
@@ -584,18 +547,6 @@ def normalized_measure(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
                        basis_to: ClassifiedBasis) -> Amplitude:
     """The fixed-measure amplitude the composed kernel would carry if its
     measure were re-derived from its own classification (reported next to
-    the raw composed amplitude; neither is canonical)."""
-    a_rows = basis_from.pre_observable_rows
-    b_rows = basis_to.post_observable_rows
-    n_a = int(a_rows.size)
-    c_ab = basis_from.T[a_rows] @ kernel.C @ basis_to.T[b_rows].T
-    sign, logdet = np.linalg.slogdet(c_ab) if n_a else (1.0, 0.0)
-    if n_a and sign == 0:
-        raise DegeneracyError("observable block of the composed kernel is singular")
-    log_mod = 0.5 * (
-        -n_a * np.log(TWO_PI * kernel.hbar)
-        + logdet
-        - np.log(basis_from.abs_det)
-        - np.log(basis_to.abs_det)
-    )
-    return Amplitude(log_modulus=log_mod, i_exponent=n_a, phase=0.0)
+    the raw composed amplitude; neither is canonical).  Raises
+    DegeneracyError unless c_AB is square and regular at the bases' tol."""
+    return _move_measure(kernel.C, basis_from, basis_to, kernel.hbar, basis_from.tol)

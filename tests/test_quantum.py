@@ -531,3 +531,20 @@ def test_hilbert_dims_lattice_example(square_fixture):
     assert hilbert_dims(pre0, 12) == 0
     assert hilbert_dims(post2_eff, 12) == 0
     assert hilbert_dims([], 12) == 12
+
+
+def test_normalized_measure_unequal_observable_counts():
+    # step 0 has no pre-observables, step 1 has some: no square c_AB exists,
+    # which is a typed degeneracy, not numpy's LinAlgError
+    from canonkit.classify import classify_sequence
+    from canonkit.errors import DegeneracyError
+    from canonkit.lattice import expanding_square_sequence
+    from canonkit.quantum import normalized_measure
+
+    seq = expanding_square_sequence(2).sequence
+    b = classify_sequence(seq)
+    k = propagator_from_move(seq.moves[0], b[0], b[1])
+    assert len(b[1].pre_observable_rows) != len(b[1].post_observable_rows)
+    with pytest.raises(DegeneracyError):
+        normalized_measure(k, b[1], b[1])
+    assert normalized_measure(k, b[0], b[1]) == k.amplitude
