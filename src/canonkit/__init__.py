@@ -7,7 +7,8 @@ Library layout, one module per concern:
 - classify: the eight-type classification, step bases, alpha-block inverse h+
 - constraints: constraint construction, Poisson algebra, constraint ranks
 - evolution: initial/final/boundary-value solves, observable block, dof counting
-- effective: move composition by alpha-block elimination, multiplier records
+- effective: move composition by alpha-block elimination; an effective move
+  is a QuadraticMove that also carries its multiplier records
 - quantum: Gaussian-delta kernels, move measure, propagators, physical states
 - lattice: scalar-field move generators (expanding square example)
 - serialize / reporting / cli: move files, reports, the canonkit command

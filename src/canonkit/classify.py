@@ -240,8 +240,13 @@ def classify_sequence(seq, tol: float = DEFAULT_TOL, overrides: dict = None) -> 
 
     ``overrides`` maps step -> explicit T matrix; overridden steps are
     labelled with classify_rows instead of the default construction.
+    An override for a step the sequence does not have is an InputError.
     """
     overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(seq.steps))
+    if unknown:
+        raise InputError(f"basis overrides for steps {unknown} outside the sequence "
+                         f"(steps {seq.first_step}..{seq.last_step})")
     bases = {}
     for n in seq.steps:
         m_in = seq.move_into(n)
@@ -266,7 +271,6 @@ class VariableSplit:
     """
 
     basis: ClassifiedBasis
-    x_map: np.ndarray       # (T^{-1})ᵀ
     pre_shift: np.ndarray   # T a_next
     post_shift: np.ndarray  # T b_prev
 
@@ -294,10 +298,8 @@ def split_variables(basis: ClassifiedBasis, a_next=None, b_prev=None) -> Variabl
     q = basis.dim
     a_next = np.zeros((q, q)) if a_next is None else as_matrix(a_next)
     b_prev = np.zeros((q, q)) if b_prev is None else as_matrix(b_prev)
-    x_map = np.linalg.inv(basis.T).T
     return VariableSplit(
         basis=basis,
-        x_map=x_map,
         pre_shift=basis.T @ a_next,
         post_shift=basis.T @ b_prev,
     )

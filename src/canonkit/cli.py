@@ -140,11 +140,11 @@ def cmd_example(args) -> int:
     serialize.save_sequence(fixture.sequence, out)
     print(f"wrote {out} (Q = {fixture.sequence.dim}, {len(fixture.sequence.moves)} moves)")
     if args.basis_out:
+        # reference bases only for the steps this sequence has
+        refs = {1: fixture.basis_t1, 2: fixture.basis_t2}
+        steps = fixture.sequence.steps
         data = {
-            "bases": [
-                {"step": 1, "T": fixture.basis_t1.tolist()},
-                {"step": 2, "T": fixture.basis_t2.tolist()},
-            ]
+            "bases": [{"step": n, "T": t.tolist()} for n, t in refs.items() if n in steps]
         }
         Path(args.basis_out).write_text(json.dumps(data), encoding="utf-8")
         print(f"wrote {args.basis_out}")

@@ -41,44 +41,12 @@ class MultiplierRecord:
 
 
 @dataclass(frozen=True)
-class EffectiveMove:
-    """A composed move plus the multiplier records it generated."""
+class EffectiveMove(QuadraticMove):
+    """A composed move S~(x_from, x_to), itself a quadratic move, plus the
+    multiplier records it generated."""
 
-    base: QuadraticMove
     multipliers: tuple = ()
     provenance: tuple = ()    # step labels of the composed chain
-
-    @property
-    def step_from(self) -> int:
-        return self.base.step_from
-
-    @property
-    def step_to(self) -> int:
-        return self.base.step_to
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.base.a
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.base.b
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.base.c
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-
-def _as_base(move) -> QuadraticMove:
-    return move.base if isinstance(move, EffectiveMove) else move
-
-
-def _carried(move) -> tuple:
-    return move.multipliers if isinstance(move, EffectiveMove) else ()
 
 
 def _eliminate(a1, c1, b2, c2, h_plus):
@@ -89,21 +57,19 @@ def _eliminate(a1, c1, b2, c2, h_plus):
 
 def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) -> EffectiveMove:
     """Integrate out the step shared by two adjacent moves."""
-    m1, m2 = _as_base(move1), _as_base(move2)
-    if m1.step_to != m2.step_from:
+    if move1.step_to != move2.step_from:
         raise InputError("moves are not adjacent")
-    if basis_mid.step != m1.step_to:
+    if basis_mid.step != move1.step_to:
         raise InputError("basis is not classified at the shared step")
-    if m1.dim != m2.dim:
+    if move1.dim != move2.dim:
         raise InputError("moves must share the extended dimension")
-    h_plus = basis_mid.restricted_hessian_inverse(m1.b + m2.a, tol)
-    base = QuadraticMove(m1.step_from, m2.step_to, *_eliminate(m1.a, m1.c, m2.b, m2.c, h_plus))
+    h_plus = basis_mid.restricted_hessian_inverse(move1.b + move2.a, tol)
 
     new_mult = []
     if basis_mid.rows_of(*Q_TYPES).size:
         # secondary_constraints emits l rows, then r rows, then z rows, in
         # basis row order; mirror that order here
-        ordered = secondary_constraints(m1, m2, basis_mid, tol)
+        ordered = secondary_constraints(move1, move2, basis_mid, tol)
         i = 0
         for label in Q_TYPES:
             for k in basis_mid.rows_of(label):
@@ -116,13 +82,16 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
                     )
                 )
                 i += 1
-    prov1 = move1.provenance if isinstance(move1, EffectiveMove) else (m1.step_from, m1.step_to)
-    prov2 = move2.provenance if isinstance(move2, EffectiveMove) else (m2.step_from, m2.step_to)
-    provenance = tuple(dict.fromkeys(prov1 + prov2))
+    # a plain move carries no multipliers and spans its own two steps
+    prov1 = getattr(move1, "provenance", (move1.step_from, move1.step_to))
+    prov2 = getattr(move2, "provenance", (move2.step_from, move2.step_to))
     return EffectiveMove(
-        base=base,
-        multipliers=_carried(move1) + _carried(move2) + tuple(new_mult),
-        provenance=provenance,
+        move1.step_from,
+        move2.step_to,
+        *_eliminate(move1.a, move1.c, move2.b, move2.c, h_plus),
+        multipliers=(getattr(move1, "multipliers", ()) + getattr(move2, "multipliers", ())
+                     + tuple(new_mult)),
+        provenance=tuple(dict.fromkeys(prov1 + prov2)),
     )
 
 
@@ -137,46 +106,35 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
     """
     if basis_from.step != eff.step_from or basis_to.step != eff.step_to:
         raise InputError("outer bases do not match the effective move")
-    # multiplier records from earlier compositions in a chain may reference
+    # the from side gives pre-constraints (left rows, +a, l/z multipliers),
+    # the to side post-constraints (right rows, -b, r/z multipliers).
+    # Multiplier records from earlier compositions in a chain may reference
     # steps that have since been eliminated; those carry no coefficient at
     # the surviving outer steps and only pass through as records
+    sides = (
+        (basis_from, basis_from.left_rows, "pre", ("l", "z"), eff.a, 1.0),
+        (basis_to, basis_to.right_rows, "post", ("r", "z"), eff.b, -1.0),
+    )
     out = []
-    for k in basis_from.left_rows:
-        row = basis_from.T[k]
-        terms = []
-        for rec in eff.multipliers:
-            if rec.source_type in ("l", "z") and eff.step_from in rec.constraint.steps:
-                coeff = float(row @ rec.constraint.x_part_at(eff.step_from))
-                if abs(coeff) > tol * eff.dim:
-                    terms.append((rec.name, coeff))
-        out.append(
-            LinearConstraint(
-                step=eff.step_from,
-                kind="pre",
-                p_coeffs=row,
-                x_coeffs=eff.a @ row,
-                source_type=basis_from.labels[k],
-                multiplier_terms=tuple(terms),
+    for basis, rows, kind, sources, hess, sign in sides:
+        for k in rows:
+            row = basis.T[k]
+            terms = []
+            for rec in eff.multipliers:
+                if rec.source_type in sources and basis.step in rec.constraint.steps:
+                    coeff = sign * float(row @ rec.constraint.x_part_at(basis.step))
+                    if abs(coeff) > tol * eff.dim:
+                        terms.append((rec.name, coeff))
+            out.append(
+                LinearConstraint(
+                    step=basis.step,
+                    kind=kind,
+                    p_coeffs=row,
+                    x_coeffs=sign * (hess @ row),
+                    source_type=basis.labels[k],
+                    multiplier_terms=tuple(terms),
+                )
             )
-        )
-    for k in basis_to.right_rows:
-        row = basis_to.T[k]
-        terms = []
-        for rec in eff.multipliers:
-            if rec.source_type in ("r", "z") and eff.step_to in rec.constraint.steps:
-                coeff = -float(row @ rec.constraint.x_part_at(eff.step_to))
-                if abs(coeff) > tol * eff.dim:
-                    terms.append((rec.name, coeff))
-        out.append(
-            LinearConstraint(
-                step=eff.step_to,
-                kind="post",
-                p_coeffs=row,
-                x_coeffs=-(eff.b @ row),
-                source_type=basis_to.labels[k],
-                multiplier_terms=tuple(terms),
-            )
-        )
     out.extend(rec.constraint for rec in eff.multipliers)
     return out
 
@@ -209,18 +167,17 @@ def reclassify_onshell(eff_left, move_right, tol: float = DEFAULT_TOL,
     old basis is supplied, a per-row report of how its labels migrate.
     Type I rows must keep their label; anything else may change.
     """
-    left = _as_base(eff_left)
-    right = _as_base(move_right)
-    if left.step_to != right.step_from:
+    if eff_left.step_to != move_right.step_from:
         raise InputError("effective move and next move are not adjacent")
-    h_eff = left.b + right.a
-    basis = classify_step(left.c, right.c, h_eff, tol, step=left.step_to)
+    step = eff_left.step_to
+    h_eff = eff_left.b + move_right.a
+    basis = classify_step(eff_left.c, move_right.c, h_eff, tol, step=step)
     rows = []
     if old_basis is not None:
-        if old_basis.step != left.step_to:
+        if old_basis.step != step:
             raise InputError("old basis lives at a different step")
         for k in range(old_basis.dim):
-            new_label = label_for(old_basis.T[k], left.c, right.c, h_eff, tol)
+            new_label = label_for(old_basis.T[k], eff_left.c, move_right.c, h_eff, tol)
             old_label = old_basis.labels[k]
             rows.append(ReclassifiedRow(row=k, old_label=old_label, new_label=new_label))
             if old_label == "I" and new_label != "I":
@@ -236,25 +193,21 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
     if not (seq.first_step <= from_step < to_step <= seq.last_step):
         raise InputError("step range outside the sequence")
     moves = [m for m in seq.moves if from_step <= m.step_from and m.step_to <= to_step]
-    acc = moves[0]
-    if len(moves) == 1:
-        base = _as_base(acc)
-        return EffectiveMove(base=base, provenance=(base.step_from, base.step_to))
+    first = moves[0]
+    acc = EffectiveMove(first.step_from, first.step_to, first.a, first.b, first.c,
+                        provenance=(first.step_from, first.step_to))
     for nxt in moves[1:]:
-        left = _as_base(acc)
-        basis = classify_step(left.c, nxt.c, left.b + nxt.a, tol, step=nxt.step_from)
+        basis = classify_step(acc.c, nxt.c, acc.b + nxt.a, tol, step=nxt.step_from)
         acc = compose(acc, nxt, basis, tol)
     return acc
 
 
 def degeneracy_dims(move1, move2, eff: EffectiveMove, tol: float = DEFAULT_TOL) -> dict:
     """Null-space dimensions of c1, c2, h and the effective c~."""
-    m1, m2 = _as_base(move1), _as_base(move2)
-    q = m1.dim
     return {
-        "c1": right_null_basis(m1.c, tol).dim,
-        "c2": right_null_basis(m2.c, tol).dim,
-        "h": right_null_basis(m1.b + m2.a, tol).dim,
+        "c1": right_null_basis(move1.c, tol).dim,
+        "c2": right_null_basis(move2.c, tol).dim,
+        "h": right_null_basis(move1.b + move2.a, tol).dim,
         "c_eff": right_null_basis(eff.c, tol).dim,
     }
 

@@ -22,7 +22,6 @@ from .classify import (
     POST_OBS_TYPES,
     PRE_OBS_TYPES,
     RIGHT_TYPES,
-    hessian_block,
     m_lambda_rho,
     split_variables,
 )
@@ -345,36 +344,29 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
     lambda-rho block.
     """
     h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
     x_split = basis.to_split_config(x)
+    k = basis.T @ h @ basis.T.T    # h in split coordinates, read block by block
     rows_h = basis.rows_of("H")
     rows_l = basis.rows_of("lambda")
     rows_r = basis.rows_of("rho")
     rows_g = basis.rows_of("gamma")
     tilde = np.concatenate([rows_l, rows_r, rows_g])
 
-    h_hh = hessian_block(basis, h, "H", "H")
+    h_hh = k[np.ix_(rows_h, rows_h)]
     if rows_h.size:
         check_regular(h_hh, tol, "H block of the Hessian (a second-class pair commutes)")
-        h_ht = basis.T[rows_h] @ h @ basis.T[tilde].T if tilde.size else np.zeros((rows_h.size, 0))
-        x_h = -np.linalg.solve(h_hh, h_ht @ x_split[tilde]) if tilde.size else np.zeros(rows_h.size)
+        x_h = -np.linalg.solve(h_hh, k[np.ix_(rows_h, tilde)] @ x_split[tilde])
     else:
         x_h = np.zeros(0)
 
     def schur(rows_a, rows_b):
         """h_ab on solutions of the H equations."""
-        if rows_a.size == 0 or rows_b.size == 0:
-            return np.zeros((rows_a.size, rows_b.size))
-        blk = basis.T[rows_a] @ h @ basis.T[rows_b].T
+        blk = k[np.ix_(rows_a, rows_b)]
         if rows_h.size:
-            a_h = basis.T[rows_a] @ h @ basis.T[rows_h].T
-            h_b = basis.T[rows_h] @ h @ basis.T[rows_b].T
-            blk = blk - a_h @ np.linalg.solve(h_hh, h_b)
+            blk = blk - k[np.ix_(rows_a, rows_h)] @ np.linalg.solve(h_hh, k[np.ix_(rows_h, rows_b)])
         return blk
 
     s_lr = schur(rows_l, rows_r)
-    s_lg = schur(rows_l, rows_g)
-    s_ll = schur(rows_l, rows_l)
     m = numeric_rank(s_lr, tol)
 
     fixed_rows = ()
@@ -383,6 +375,8 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
         _, _, piv = scipy.linalg.qr(s_lr, pivoting=True)
         cols = np.sort(piv[:m])
         fixed_rows = tuple(int(rows_r[c]) for c in cols)
+        s_ll = schur(rows_l, rows_l)
+        s_lg = schur(rows_l, rows_g)
         rhs = -(np.asarray(post_pi, dtype=float)[rows_l]
                 + s_ll @ x_split[rows_l] + s_lg @ x_split[rows_g])
         # remaining rho columns enter with their current values
@@ -392,26 +386,16 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
         sol, *_ = np.linalg.lstsq(s_lr[:, cols], rhs, rcond=None)
         x_rho = sol
 
-    s_rr = schur(rows_r, rows_r)
-    s_rg = schur(rows_r, rows_g)
-    s_gr = schur(rows_g, rows_r)
-    s_gg = schur(rows_g, rows_g)
-    q = basis.dim
-    rho_shift = np.zeros((rows_r.size, q))
-    if rows_r.size:
-        rho_shift[:, rows_r] = s_rr
-        if rows_g.size:
-            rho_shift[:, rows_g] = s_rg
-    gamma_shift = np.zeros((rows_g.size, q))
-    if rows_g.size:
-        if rows_r.size:
-            gamma_shift[:, rows_r] = s_gr
-        gamma_shift[:, rows_g] = s_gg
+    # one Schur complement over the stacked [rho; gamma] rows, placed on
+    # the rho and gamma columns of the split coordinates
+    rows_rg = np.concatenate([rows_r, rows_g])
+    shift = np.zeros((rows_rg.size, basis.dim))
+    shift[:, rows_rg] = schur(rows_rg, rows_rg)
     return FixedVariableResult(
         x_H=x_h,
         fixed_rho_rows=fixed_rows,
         x_rho_fixed=x_rho,
         schur_lambda_rho=s_lr,
-        rho_shift=rho_shift,
-        gamma_shift=gamma_shift,
+        rho_shift=shift[:rows_r.size],
+        gamma_shift=shift[rows_r.size:],
     )

@@ -339,6 +339,24 @@ def _abelian_or_raise(constraints, tol):
     return cons
 
 
+def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
+                       hbar: float, tol: float, what: str):
+    """∫ ds exp(i(yᵀ m0 y/2 + j0ᵀ y + sᵀ g s/2 + sᵀ(w y + w0))/hbar) in closed
+    form: the new quadratic and linear terms m0 - wᵀ g⁻¹ w and
+    j0 - wᵀ g⁻¹ w0 in y, and ``amp`` times exp(log_measure) det(-ig)^(-1/2)
+    exp(i const/hbar) with const = -w0ᵀ g⁻¹ w0 / 2; each caller brings its
+    own power of 2 pi hbar."""
+    _check_im_positive(g, tol, what)
+    logdet = _principal_logdet_neg_i(g)
+    g_inv = np.linalg.inv(g)
+    const = -0.5 * w0 @ g_inv @ w0
+    amp = amp.times_log(
+        log_measure - 0.5 * logdet.real - const.imag / hbar,
+        phase=-0.5 * logdet.imag + const.real / hbar,
+    )
+    return m0 - w.T @ g_inv @ w, j0 - w.T @ g_inv @ w0, amp
+
+
 def project_physical(state: GaussianState, constraints, side: str,
                      tol: float = DEFAULT_TOL) -> GaussianState:
     """Group-averaging projection of a Gaussian state onto a constraint set.
@@ -365,19 +383,11 @@ def project_physical(state: GaussianState, constraints, side: str,
     hbar = state.hbar
 
     g = u.T @ state.M @ u + 0.5 * (u.T @ v + v.T @ u)
-    _check_im_positive(g, tol, "group averaging")
     w_mat = u.T @ state.M + v.T                          # theta(x) = w_mat x + w0
     w0 = u.T @ state.j
-
-    logdet = _principal_logdet_neg_i(g)
-    g_inv = np.linalg.inv(g)
-    m_new = state.M - w_mat.T @ g_inv @ w_mat
-    j_new = state.j - w_mat.T @ g_inv @ w0
-    const = -0.5 * w0 @ g_inv @ w0                       # enters as exp(i const / hbar)
-    amp = state.amplitude.times_log(
-        -0.5 * n * np.log(TWO_PI * hbar) - 0.5 * logdet.real - const.imag / hbar,
-        phase=-0.5 * logdet.imag + const.real / hbar,
-    )
+    m_new, j_new, amp = _gaussian_integral(g, w_mat, w0, state.M, state.j, state.amplitude,
+                                           -0.5 * n * np.log(TWO_PI * hbar), hbar, tol,
+                                           "group averaging")
     return GaussianState(
         step=state.step, hbar=hbar, amplitude=amp,
         M=0.5 * (m_new + m_new.T), j=j_new, support_labels=state.support_labels,
@@ -411,9 +421,9 @@ def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
     scale = max(np.abs(phi).max(), np.abs(j_split).max() if j_split.size else 0.0, 1.0)
     if rest.size:
         leak = max(
-            np.abs(phi[rest, :]).max() if rest.size else 0.0,
-            np.abs(j_split[rest]).max() if rest.size else 0.0,
-            np.abs(c_split[rest, :]).max() if rest.size else 0.0,
+            np.abs(phi[rest]).max(),
+            np.abs(j_split[rest]).max(),
+            np.abs(c_split[rest]).max(),
         )
         if leak > tol * basis.dim * scale:
             raise InputError(
@@ -422,23 +432,11 @@ def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
             )
     hbar = kernel.hbar
     amp = state.amplitude.times(kernel.amplitude)
-    if a_rows.size:
-        phi_aa = phi[np.ix_(a_rows, a_rows)]
-        _check_im_positive(phi_aa, tol, "state evolution")
-        logdet = _principal_logdet_neg_i(phi_aa)
-        inv = np.linalg.inv(phi_aa)
-        c_a = c_split[a_rows]
-        j_a = j_split[a_rows]
-        m_new = kernel.B - c_a.T @ inv @ c_a
-        j_new = -c_a.T @ inv @ j_a
-        const = -0.5 * j_a @ inv @ j_a
-        amp = amp.times_log(
-            0.5 * a_rows.size * np.log(TWO_PI * hbar) - 0.5 * logdet.real - const.imag / hbar,
-            phase=-0.5 * logdet.imag + const.real / hbar,
-        )
-    else:
-        m_new = kernel.B.astype(complex)
-        j_new = np.zeros(kernel.dim_out, dtype=complex)
+    m_new, j_new, amp = _gaussian_integral(
+        phi[np.ix_(a_rows, a_rows)], c_split[a_rows], j_split[a_rows],
+        kernel.B, np.zeros(kernel.dim_out), amp,
+        0.5 * a_rows.size * np.log(TWO_PI * hbar), hbar, tol, "state evolution",
+    )
     support = None
     if kernel.basis_out is not None:
         support = tuple(int(r) for r in kernel.basis_out.post_observable_rows)

@@ -24,7 +24,11 @@ from .quantum import compose_kernels, hilbert_dims, normalized_measure, propagat
 
 
 def _vec(v):
-    return [float(x) for x in np.asarray(v).ravel()]
+    return np.asarray(v, dtype=float).ravel().tolist()
+
+
+def _mat(m):
+    return np.asarray(m, dtype=float).tolist()
 
 
 def classification_report(seq, bases, step):
@@ -62,7 +66,7 @@ def constraints_report(seq, bases, step, tol=DEFAULT_TOL):
     return {
         "step": step,
         "constraints": [constraint_entry(c) for c in table.tagged_constraints()],
-        "brackets": [[float(v) for v in row] for row in table.brackets],
+        "brackets": _mat(table.brackets),
         "m_lambda_rho": table.m_lambda_rho,
         "all_first_class": bool(table.all_first_class),
     }
@@ -107,9 +111,9 @@ def effective_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
     section = {
         "from": from_step,
         "to": to_step,
-        "a_eff": [_vec(r) for r in eff.a],
-        "b_eff": [_vec(r) for r in eff.b],
-        "c_eff": [_vec(r) for r in eff.c],
+        "a_eff": _mat(eff.a),
+        "b_eff": _mat(eff.b),
+        "c_eff": _mat(eff.c),
         "multipliers": [
             {"type": rec.source_type, "step": rec.step, "row": _vec(rec.row)}
             for rec in eff.multipliers
@@ -134,10 +138,10 @@ def kernel_summary(kernel):
         "continuous_phase": float(kernel.continuous_phase),
         "delta_count": int(kernel.deltas.shape[0]),
         "delta_labels": list(kernel.delta_labels),
-        "A": [_vec(r) for r in kernel.A],
-        "B": [_vec(r) for r in kernel.B],
-        "C": [_vec(r) for r in kernel.C],
-        "deltas": [_vec(r) for r in kernel.deltas],
+        "A": _mat(kernel.A),
+        "B": _mat(kernel.B),
+        "C": _mat(kernel.C),
+        "deltas": _mat(kernel.deltas),
     }
 
 

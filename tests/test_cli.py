@@ -33,6 +33,27 @@ def test_example_one_move(tmp_path):
     assert np.abs(seq.moves[0].c).max() == 0.0
 
 
+def test_example_one_move_basis_out_has_only_existing_steps(tmp_path):
+    out = tmp_path / "one.json"
+    bases = tmp_path / "bases.json"
+    assert main(["example", "square-lattice", "--steps", "1", "--out", str(out),
+                 "--basis-out", str(bases)]) == 0
+    data = json.loads(bases.read_text())
+    assert [b["step"] for b in data["bases"]] == [1]
+    assert main(["classify", "--input", str(out), "--basis", str(bases), "--step", "1"]) == 0
+
+
+def test_basis_override_unknown_step_exit_2(tmp_path, capsys):
+    out = tmp_path / "one.json"
+    assert main(["example", "square-lattice", "--steps", "1", "--out", str(out)]) == 0
+    bases = tmp_path / "bases.json"
+    bases.write_text(json.dumps({"bases": [{"step": 7, "T": np.eye(4).tolist()}]}))
+    capsys.readouterr()
+    assert main(["classify", "--input", str(out), "--basis", str(bases), "--step", "0"]) == 2
+    assert "[7]" in capsys.readouterr().err
+    assert main(["report", "--input", str(out), "--basis", str(bases)]) == 2
+
+
 def test_example_mass_changes_diagonal(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

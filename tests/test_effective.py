@@ -323,6 +323,41 @@ def test_chain_fold_order_agreement_multidim(rng):
         assert np.abs(left.c - right.c).max() < 1e-7 * scale
 
 
+def test_effective_move_is_a_quadratic_move():
+    # integrating out a step gives again a quadratic move S~(x0, x2); it
+    # goes straight back into compose, classify_step and the propagator
+    from canonkit.actions import MoveSequence
+    from canonkit.effective import EffectiveMove, effective_outer_bases
+    from canonkit.evolution import boundary_solve
+    from canonkit.quantum import propagator_from_move, unitarity_check
+
+    r = np.random.default_rng(41)
+    moves = [regular_move(r, k, 3) for k in range(3)]
+    m1, m2, m3 = moves
+    b1 = classify_step(m1.c, m2.c, m1.b + m2.a, step=1)
+    eff = compose(m1, m2, b1)
+    assert isinstance(eff, QuadraticMove) and isinstance(eff, EffectiveMove)
+    assert (eff.step_from, eff.step_to, eff.dim) == (0, 2, 3)
+    # S~ is the two-move action at the stationary middle configuration
+    x0, x2 = r.normal(size=3), r.normal(size=3)
+    x1 = boundary_solve(m1, m2, b1, x0, x2)
+    assert eff.action(x0, x2) == pytest.approx(m1.action(x0, x1) + m2.action(x1, x2), rel=1e-10)
+
+    b2 = classify_step(eff.c, m3.c, eff.b + m3.a, step=2)
+    eff3 = compose(eff, m3, b2)
+    chain = chain_compose(MoveSequence(3, tuple(moves)), 0, 3)
+    assert_allclose(eff3.a, chain.a, atol=1e-12)
+    assert_allclose(eff3.b, chain.b, atol=1e-12)
+    assert_allclose(eff3.c, chain.c, atol=1e-12)
+    assert eff3.provenance == chain.provenance == (0, 1, 2, 3)
+
+    b_from, b_to = effective_outer_bases(eff3)
+    kernel = propagator_from_move(eff3, b_from, b_to)
+    assert (kernel.in_step, kernel.out_step) == (0, 3)
+    assert_allclose(kernel.C, eff3.c)
+    assert unitarity_check(kernel, b_from, b_to)
+
+
 def test_monotonicity_lattice_example(square_fixture):
     fx, bases = square_fixture
     m1, m2 = fx.sequence.moves

@@ -338,25 +338,45 @@ def test_fixed_variable_solve_homogeneous_h(rng):
 
 
 def test_fixed_variable_degenerate_h_block():
-    # two H rows with a singular h_HH block must raise
-    q = 2
-    c_zero = np.zeros((q, q))
-    h = np.array([[0.0, 1.0], [1.0, 0.0]])  # off-diagonal coupling only
-    # both directions are two-sided null vectors of the (zero) cross
-    # matrices and not h-null: type H with h_HH = h itself (invertible here),
-    # so build a genuinely singular case instead:
-    h_sing = np.array([[1.0, 1.0], [1.0, 1.0]])
-    basis = classify_step(c_zero, c_zero, h_sing, step=1)
-    # one direction is h-null -> I; the other is H with block [2]; augment to
-    # force singularity via a 3x3 with rank-1 block on a 2d H space
-    h3 = np.zeros((3, 3))
-    h3[:2, :2] = h_sing
-    c3 = np.zeros((3, 3))
-    c3[2, 2] = 1.0  # third direction is gamma-ish through c
-    basis3 = classify_step(c3, c3, h3, step=1)
-    if basis3.counts["H"] >= 2:
-        with pytest.raises(DegeneracyError):
-            fixed_variable_solve(basis3, h3, np.zeros(3), np.zeros(3))
+    # two H rows with a singular h_HH block must raise.  Slots 0-3 are
+    # two-sided null vectors of c; h couples 0<->4 and 1<->5 only, so slots
+    # 2, 3 are h-null (I), slots 0, 1 are not (H) and h_HH vanishes
+    c = np.diag([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+    h = np.zeros((6, 6))
+    h[0, 4] = h[4, 0] = h[1, 5] = h[5, 1] = 1.0
+    basis = classify_step(c, c, h, step=1)
+    assert basis.counts == {"I": 2, "H": 2, "l": 0, "lambda": 0,
+                            "r": 0, "rho": 0, "z": 0, "gamma": 2}
+    with pytest.raises(DegeneracyError):
+        fixed_variable_solve(basis, h, np.zeros(6), np.zeros(6))
+
+
+def test_fixed_variable_shifts_are_schur_complements():
+    # rho_shift / gamma_shift hold h_ab - h_aH h_HH^-1 h_Hb on the rho and
+    # gamma columns (a, b in rho, gamma) and zero everywhere else
+    from canonkit.classify import hessian_block
+
+    r = np.random.default_rng(5)
+    sizes = {"I": 1, "H": 2, "lambda": 1, "rho": 2, "gamma": 2}
+    m1, m2 = designed_instance(r, sizes)
+    h = m1.b + m2.a
+    basis = classify_step(m1.c, m2.c, h, step=1)
+    assert basis.counts == {**{t: 0 for t in ("l", "r", "z")}, **sizes}
+    out = fixed_variable_solve(basis, h, r.normal(size=basis.dim), r.normal(size=basis.dim))
+
+    def schur(a, b):
+        h_hh = hessian_block(basis, h, "H", "H")
+        return (hessian_block(basis, h, a, b)
+                - hessian_block(basis, h, a, "H") @ np.linalg.solve(h_hh, hessian_block(basis, h, "H", b)))
+
+    rows_r, rows_g = basis.rows_of("rho"), basis.rows_of("gamma")
+    others = basis.rows_of("I", "H", "lambda")
+    for shift, a in ((out.rho_shift, "rho"), (out.gamma_shift, "gamma")):
+        assert shift.shape == (basis.rows_of(a).size, basis.dim)
+        assert_allclose(shift[:, rows_r], schur(a, "rho"), rtol=1e-12, atol=1e-12)
+        assert_allclose(shift[:, rows_g], schur(a, "gamma"), rtol=1e-12, atol=1e-12)
+        assert np.all(shift[:, others] == 0.0)
+    assert_allclose(out.schur_lambda_rho, schur("lambda", "rho"), rtol=1e-12, atol=1e-12)
 
 
 def test_transferred_momenta_on_shell():
