@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -99,7 +100,7 @@ def cmd_evolve(args) -> int:
         "injected": [float(v) for v in res.injected],
     }
     if args.format == "json":
-        text = json.dumps(report, indent=1)
+        text = serialize.dumps_indented(report)
     else:
         text = (
             f"step {out.step} ({out.momentum_side} side)\n"
@@ -124,7 +125,7 @@ def cmd_compose(args) -> int:
 def cmd_quantum(args) -> int:
     seq, bases = _load(args)
     if args.hbar is not None:
-        seq = serialize.sequence_from_dict({**serialize.sequence_to_dict(seq), "hbar": args.hbar})
+        seq = dataclasses.replace(seq, hbar=args.hbar)
     section = (reporting.quantum_section if args.quantum_action == "compose"
                else reporting.propagator_section)
     report = section(seq, bases, args.from_step, args.to_step, args.tol)
@@ -142,10 +143,7 @@ def cmd_example(args) -> int:
     if args.basis_out:
         # reference bases only for the steps this sequence has
         refs = {1: fixture.basis_t1, 2: fixture.basis_t2}
-        steps = fixture.sequence.steps
-        data = {
-            "bases": [{"step": n, "T": t.tolist()} for n, t in refs.items() if n in steps]
-        }
+        data = {"bases": [{"step": n, "T": t.tolist()} for n, t in refs.items() if t is not None]}
         Path(args.basis_out).write_text(json.dumps(data), encoding="utf-8")
         print(f"wrote {args.basis_out}")
     return 0

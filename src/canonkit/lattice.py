@@ -190,13 +190,14 @@ class ExpandingSquare:
 
     ``basis_t1``/``basis_t2`` are the explicit reference bases of the
     example (identity at step 1; the length-12 null-vector basis at step
-    2), zero-padded to the sequence dimension.  Moves beyond step 2 are
+    2), zero-padded to the sequence dimension.  ``basis_t2`` is ``None`` for
+    a one-move sequence, which has no step 2.  Moves beyond step 2 are
     generated rather than hand-checked.
     """
 
     sequence: MoveSequence
     basis_t1: np.ndarray
-    basis_t2: np.ndarray
+    basis_t2: np.ndarray | None
     validated_steps: tuple = (0, 1, 2)
 
 
@@ -238,5 +239,5 @@ def expanding_square_sequence(n_steps: int, mass: float = 0.0, hbar: float = 1.0
     seq = extend_to_square(moves, hbar=hbar)
     q = seq.dim
     t1 = np.eye(q)
-    t2 = reference_basis_t2(q) if n_steps >= 2 else np.eye(q)
+    t2 = reference_basis_t2(q) if n_steps >= 2 else None
     return ExpandingSquare(sequence=seq, basis_t1=t1, basis_t2=t2)

@@ -21,6 +21,7 @@ from .errors import InputError
 from .evolution import dof_report
 from .linalg import DEFAULT_TOL
 from .quantum import compose_kernels, hilbert_dims, normalized_measure, propagator_from_move
+from .serialize import dumps_indented
 
 
 def _vec(v):
@@ -232,7 +233,7 @@ def full_report(seq, tol=DEFAULT_TOL, overrides=None):
 
 
 def report_to_json(report) -> str:
-    return json.dumps(report, indent=1, sort_keys=True)
+    return dumps_indented(report, sort_keys=True)
 
 
 def report_from_json(text: str):

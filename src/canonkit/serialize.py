@@ -1,5 +1,11 @@
 """Move-file and report serialization.
 
+``dumps_indented`` is the one place that writes indented JSON text: the
+report (``reporting.report_to_json``), move files (``save_sequence``) and
+``canonkit evolve --format json`` all go through it.  Its contract is the
+stdlib's ``indent=1`` layout byte for byte: it returns exactly
+``json.dumps(obj, indent=1, sort_keys=sort_keys)``.
+
 Move files are JSON:
 
     {"Q": int, "hbar": number,
@@ -14,13 +20,78 @@ as IEEE doubles.  Basis files map steps to explicit row bases:
 
 from __future__ import annotations
 
+import functools
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .actions import MoveSequence, QuadraticMove
 from .errors import InputError
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def dumps_indented(obj, sort_keys: bool = False) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=sort_keys)``, byte for byte.
+
+    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder on
+    every value.  This writer lays out the nested dicts and lists itself and
+    hands each dict or list that holds no dict, list or tuple to the
+    stdlib's compact encoder in one call, which runs in C where the
+    interpreter has the speedups.  That encoder writes floats with
+    ``float.__repr__``, NaN/±Infinity, keys and sorted items as the Python
+    encoder does.  Input is a tree: a cycle raises ``RecursionError`` where
+    ``json.dumps`` raises ``ValueError``.
+    """
+    chunks = []
+    _write(obj, 0, sort_keys, chunks.append)
+    return "".join(chunks)
+
+
+@functools.cache
+def _leaf_encoder(depth: int, sort_keys: bool):
+    """The stdlib's compact ``encode``, with each item of a container at
+    ``depth`` on its own line; the caller breaks the lines at the brackets."""
+    sep = ",\n" + " " * (depth + 1)
+    return json.JSONEncoder(separators=(sep, ": "), sort_keys=sort_keys).encode
+
+
+def _holds_container(values) -> bool:
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _leaf_encoder(0, False)(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(o, depth: int, sort_keys: bool, emit) -> None:
+    if isinstance(o, dict) and _holds_container(o.values()):
+        items = sorted(o.items()) if sort_keys else o.items()
+        pairs = [(encode_basestring_ascii(_key(k)) + ": ", v) for k, v in items]
+        brackets = "{}"
+    elif isinstance(o, (list, tuple)) and _holds_container(o):
+        pairs = [("", v) for v in o]
+        brackets = "[]"
+    else:
+        text = _leaf_encoder(depth, sort_keys)(o)
+        if isinstance(o, _CONTAINERS) and o:
+            text = text[0] + "\n" + " " * (depth + 1) + text[1:-1] + "\n" + " " * depth + text[-1]
+        emit(text)
+        return
+    inner = "\n" + " " * (depth + 1)
+    sep = brackets[0] + inner
+    for prefix, value in pairs:
+        emit(sep + prefix)
+        _write(value, depth + 1, sort_keys, emit)
+        sep = "," + inner
+    emit("\n" + " " * depth + brackets[1])
 
 
 def sequence_to_dict(seq: MoveSequence) -> dict:
@@ -61,7 +132,7 @@ def sequence_from_dict(data: dict) -> MoveSequence:
 
 
 def save_sequence(seq: MoveSequence, path) -> None:
-    Path(path).write_text(json.dumps(sequence_to_dict(seq), indent=1), encoding="utf-8")
+    Path(path).write_text(dumps_indented(sequence_to_dict(seq)), encoding="utf-8")
 
 
 def load_sequence(path) -> MoveSequence:

@@ -257,6 +257,14 @@ def test_quantum_hbar_flag(fixture_files, capsys):
     assert data["moves"]["1->2"]["modulus"] == pytest.approx((np.pi * hbar) ** -2)
 
 
+def test_quantum_hbar_zero_exit_2(fixture_files, capsys):
+    moves, bases = fixture_files
+    code = main(["quantum", "propagator", "--input", str(moves), "--from", "1",
+                 "--to", "2", "--hbar", "0", "--basis", str(bases)])
+    assert code == 2
+    assert "hbar must be positive" in capsys.readouterr().err
+
+
 def test_report_round_trip(fixture_files):
     moves, bases = fixture_files
     seq = serialize.load_sequence(moves)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from canonkit.classify import classify_sequence
 from canonkit.errors import InputError
 from canonkit.lattice import (
     StepGraph,
@@ -146,6 +147,14 @@ def test_single_move_sequence_fully_constrained():
     fx = expanding_square_sequence(1, mass=0.0)
     assert fx.sequence.dim == 4
     assert np.abs(fx.sequence.moves[0].c).max() == 0.0
+
+
+def test_single_move_has_no_step_2_basis():
+    fx = expanding_square_sequence(1, mass=0.0)
+    assert fx.basis_t2 is None
+    assert_allclose(fx.basis_t1, np.eye(4))
+    bases = classify_sequence(fx.sequence, overrides={1: fx.basis_t1})
+    assert sorted(bases) == [0, 1]
 
 
 def test_three_step_sequence_extends():
