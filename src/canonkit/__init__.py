@@ -6,7 +6,8 @@ Library layout, one module per concern:
 - actions: quadratic moves, padding, discrete Legendre transforms
 - classify: the eight-type classification, step bases, alpha-block inverse h+
 - constraints: constraint construction, Poisson algebra, constraint ranks
-- evolution: initial/final/boundary-value solves, observable block, dof counting
+- evolution: initial/final/boundary-value solves, observable block, dof counting;
+  the backward solve is the forward solve on time-reversed moves, bases and data
 - effective: move composition by alpha-block elimination; an effective move
   is a QuadraticMove that also carries its multiplier records
 - quantum: Gaussian-delta kernels, move measure, propagators, physical states

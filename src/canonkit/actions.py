@@ -52,6 +52,14 @@ class QuadraticMove:
     def scaled(self, s: float) -> "QuadraticMove":
         return QuadraticMove(self.step_from, self.step_to, s * self.a, s * self.b, s * self.c)
 
+    def reversed(self) -> "QuadraticMove":
+        """The same action read backward in time, step_to -> step_from.
+
+        (a, b, c) becomes (b, a, cᵀ); the step labels are kept, so the
+        reversed move runs from the higher label to the lower one.
+        """
+        return QuadraticMove(self.step_to, self.step_from, self.b, self.a, self.c.T)
+
 
 @dataclass(frozen=True)
 class RaggedMove:

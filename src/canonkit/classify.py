@@ -42,6 +42,8 @@ ALPHA_TYPES = ("H", "lambda", "rho", "gamma")   # h-regular block
 NULL_TYPES = ("I", "l", "r", "z")           # h-null block
 PRE_OBS_TYPES = ("r", "rho", "z", "gamma")  # A rows: propagate out of the step
 POST_OBS_TYPES = ("l", "lambda", "z", "gamma")  # B rows: propagate into the step
+# time reversal swaps coarse-graining and refining types and fixes the rest
+REVERSED_TYPE = {"l": "r", "r": "l", "lambda": "rho", "rho": "lambda"}
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,11 @@ class ClassifiedBasis:
 
     def from_split_momentum(self, p_split) -> np.ndarray:
         return np.linalg.solve(self.T, np.asarray(p_split, dtype=float))
+
+    def reversed(self) -> "ClassifiedBasis":
+        """The same rows seen backward in time: l <-> r and lambda <-> rho."""
+        labels = tuple(REVERSED_TYPE.get(lab, lab) for lab in self.labels)
+        return ClassifiedBasis(step=self.step, T=self.T, labels=labels, tol=self.tol)
 
     def restricted_hessian_inverse(self, h, tol: float = None) -> np.ndarray:
         """h^+ = T_alphaᵀ (T_alpha h T_alphaᵀ)⁻¹ T_alpha on the alpha block."""
@@ -279,10 +286,6 @@ class VariableSplit:
 
     def post_pi(self, x, p) -> np.ndarray:
         return self.basis.to_split_momentum(p) - self.post_shift @ np.asarray(x, float)
-
-    def momentum_from_pre_pi(self, x, pre_pi) -> np.ndarray:
-        p_split = np.asarray(pre_pi, float) - self.pre_shift @ np.asarray(x, float)
-        return self.basis.from_split_momentum(p_split)
 
     def momentum_from_post_pi(self, x, post_pi) -> np.ndarray:
         p_split = np.asarray(post_pi, float) + self.post_shift @ np.asarray(x, float)

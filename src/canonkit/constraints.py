@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classify import ClassifiedBasis, LEFT_TYPES, RIGHT_TYPES, m_lambda_rho
+from .classify import ClassifiedBasis, m_lambda_rho
 from .errors import InputError
 from .linalg import DEFAULT_TOL, numeric_rank
 
@@ -87,36 +87,21 @@ def primary_constraints(move_prev, move_next, basis: ClassifiedBasis) -> list:
     pre-constraints from the outgoing move (one per I/H/l/lambda row).  A
     missing move on one side suppresses that side's constraints.
     """
-    out = []
+    sides = []
     if move_prev is not None:
         if move_prev.step_to != basis.step:
             raise InputError("move_prev does not arrive at the basis step")
-        for k in basis.rows_of(*RIGHT_TYPES):
-            row = basis.T[k]
-            out.append(
-                LinearConstraint(
-                    step=basis.step,
-                    kind="post",
-                    p_coeffs=row,
-                    x_coeffs=-(move_prev.b @ row),
-                    source_type=basis.labels[k],
-                )
-            )
+        sides.append(("post", basis.right_rows, move_prev.b, -1.0))
     if move_next is not None:
         if move_next.step_from != basis.step:
             raise InputError("move_next does not leave from the basis step")
-        for k in basis.rows_of(*LEFT_TYPES):
-            row = basis.T[k]
-            out.append(
-                LinearConstraint(
-                    step=basis.step,
-                    kind="pre",
-                    p_coeffs=row,
-                    x_coeffs=move_next.a @ row,
-                    source_type=basis.labels[k],
-                )
-            )
-    return out
+        sides.append(("pre", basis.left_rows, move_next.a, 1.0))
+    return [
+        LinearConstraint(step=basis.step, kind=kind, p_coeffs=basis.T[k],
+                         x_coeffs=sign * (hess @ basis.T[k]), source_type=basis.labels[k])
+        for kind, rows, hess, sign in sides
+        for k in rows
+    ]
 
 
 def poisson_bracket(c1: LinearConstraint, c2: LinearConstraint) -> float:
@@ -131,8 +116,8 @@ def poisson_bracket(c1: LinearConstraint, c2: LinearConstraint) -> float:
     step = min(shared)
     x1 = c1.x_part_at(step)
     x2 = c2.x_part_at(step)
-    p1 = c1.p_coeffs if step in c1.steps and not isinstance(c1.step, (tuple, list)) else np.zeros_like(x1)
-    p2 = c2.p_coeffs if step in c2.steps and not isinstance(c2.step, (tuple, list)) else np.zeros_like(x2)
+    p1 = np.zeros_like(x1) if isinstance(c1.step, (tuple, list)) else c1.p_coeffs
+    p2 = np.zeros_like(x2) if isinstance(c2.step, (tuple, list)) else c2.p_coeffs
     return float(x1 @ p2 - p1 @ x2)
 
 
@@ -212,39 +197,21 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
         raise InputError("basis step must sit between the two moves")
     q = basis.dim
     zeros = np.zeros(q)
+    mats = max(np.abs(move_prev.c).max(), np.abs(move_next.c).max(), 1.0)
 
     def is_trivial(*vecs):
-        mats = max(np.abs(move_prev.c).max(), np.abs(move_next.c).max(), 1.0)
         return all(np.abs(v).max() <= tol * q * mats for v in vecs)
 
+    sides = (("l", "holonomic_left", move_prev.step_from, move_prev.c),
+             ("r", "holonomic_right", move_next.step_to, move_next.c.T))
     out = []
-    for k in basis.rows_of("l"):
-        coeffs = move_prev.c @ basis.T[k]
-        out.append(
-            LinearConstraint(
-                step=move_prev.step_from,
-                kind="holonomic_left",
-                p_coeffs=zeros,
-                x_coeffs=coeffs,
-                source_type="l",
-                trivial=is_trivial(coeffs),
-            )
-        )
-    for k in basis.rows_of("r"):
-        coeffs = move_next.c.T @ basis.T[k]
-        out.append(
-            LinearConstraint(
-                step=move_next.step_to,
-                kind="holonomic_right",
-                p_coeffs=zeros,
-                x_coeffs=coeffs,
-                source_type="r",
-                trivial=is_trivial(coeffs),
-            )
-        )
+    for label, kind, step, cross in sides:
+        for k in basis.rows_of(label):
+            coeffs = cross @ basis.T[k]
+            out.append(LinearConstraint(step=step, kind=kind, p_coeffs=zeros, x_coeffs=coeffs,
+                                        source_type=label, trivial=is_trivial(coeffs)))
     for k in basis.rows_of("z"):
-        first = move_prev.c @ basis.T[k]
-        second = move_next.c.T @ basis.T[k]
+        first, second = (cross @ basis.T[k] for *_, cross in sides)
         out.append(
             LinearConstraint(
                 step=(move_prev.step_from, move_next.step_to),

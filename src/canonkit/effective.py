@@ -12,13 +12,13 @@ constraints; these are carried as records and never solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .actions import MoveSequence, QuadraticMove
 from .classify import ClassifiedBasis, classify_step, label_for
-from .constraints import LinearConstraint, secondary_constraints
+from .constraints import LinearConstraint, primary_constraints, secondary_constraints
 from .errors import InputError, InternalError
 from .linalg import DEFAULT_TOL, right_null_basis
 
@@ -65,23 +65,16 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
         raise InputError("moves must share the extended dimension")
     h_plus = basis_mid.restricted_hessian_inverse(move1.b + move2.a, tol)
 
-    new_mult = []
+    new_mult = ()
     if basis_mid.rows_of(*Q_TYPES).size:
         # secondary_constraints emits l rows, then r rows, then z rows, in
-        # basis row order; mirror that order here
-        ordered = secondary_constraints(move1, move2, basis_mid, tol)
-        i = 0
-        for label in Q_TYPES:
-            for k in basis_mid.rows_of(label):
-                new_mult.append(
-                    MultiplierRecord(
-                        source_type=label,
-                        step=basis_mid.step,
-                        row=basis_mid.T[k],
-                        constraint=ordered[i],
-                    )
-                )
-                i += 1
+        # basis row order: the order of ``rows``
+        rows = np.concatenate([basis_mid.rows_of(label) for label in Q_TYPES])
+        new_mult = tuple(
+            MultiplierRecord(source_type=con.source_type, step=basis_mid.step,
+                             row=basis_mid.T[k], constraint=con)
+            for k, con in zip(rows, secondary_constraints(move1, move2, basis_mid, tol))
+        )
     # a plain move carries no multipliers and spans its own two steps
     prov1 = getattr(move1, "provenance", (move1.step_from, move1.step_to))
     prov2 = getattr(move2, "provenance", (move2.step_from, move2.step_to))
@@ -90,7 +83,7 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
         move2.step_to,
         *_eliminate(move1.a, move1.c, move2.b, move2.c, h_plus),
         multipliers=(getattr(move1, "multipliers", ()) + getattr(move2, "multipliers", ())
-                     + tuple(new_mult)),
+                     + new_mult),
         provenance=tuple(dict.fromkeys(prov1 + prov2)),
     )
 
@@ -106,35 +99,25 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
     """
     if basis_from.step != eff.step_from or basis_to.step != eff.step_to:
         raise InputError("outer bases do not match the effective move")
-    # the from side gives pre-constraints (left rows, +a, l/z multipliers),
-    # the to side post-constraints (right rows, -b, r/z multipliers).
+    # the move's primary pre-constraints (from side, l/z multipliers) and
+    # post-constraints (to side, r/z multipliers) gain multiplier terms.
     # Multiplier records from earlier compositions in a chain may reference
     # steps that have since been eliminated; those carry no coefficient at
     # the surviving outer steps and only pass through as records
     sides = (
-        (basis_from, basis_from.left_rows, "pre", ("l", "z"), eff.a, 1.0),
-        (basis_to, basis_to.right_rows, "post", ("r", "z"), eff.b, -1.0),
+        (basis_from, primary_constraints(None, eff, basis_from), ("l", "z"), 1.0),
+        (basis_to, primary_constraints(eff, None, basis_to), ("r", "z"), -1.0),
     )
     out = []
-    for basis, rows, kind, sources, hess, sign in sides:
-        for k in rows:
-            row = basis.T[k]
+    for basis, primary, sources, sign in sides:
+        for con in primary:
             terms = []
             for rec in eff.multipliers:
                 if rec.source_type in sources and basis.step in rec.constraint.steps:
-                    coeff = sign * float(row @ rec.constraint.x_part_at(basis.step))
+                    coeff = sign * float(con.p_coeffs @ rec.constraint.x_part_at(basis.step))
                     if abs(coeff) > tol * eff.dim:
                         terms.append((rec.name, coeff))
-            out.append(
-                LinearConstraint(
-                    step=basis.step,
-                    kind=kind,
-                    p_coeffs=row,
-                    x_coeffs=sign * (hess @ row),
-                    source_type=basis.labels[k],
-                    multiplier_terms=tuple(terms),
-                )
-            )
+            out.append(replace(con, multiplier_terms=tuple(terms)))
     out.extend(rec.constraint for rec in eff.multipliers)
     return out
 

@@ -60,6 +60,11 @@ class CanonicalData:
     def dim(self) -> int:
         return self.x.size
 
+    def reversed(self) -> "CanonicalData":
+        """The same data seen backward in time: p -> -p and pre <-> post."""
+        side = "post" if self.momentum_side == "pre" else "pre"
+        return CanonicalData(self.step, self.x, -self.p, side)
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -100,6 +105,17 @@ def observable_block(c_matrix, basis_from, basis_to, tol: float):
     return a_rows, b_rows, block
 
 
+def _check_constraints(residuals, rows, basis, kind, data, tol):
+    """Raise on the largest violated constraint of one side of the data."""
+    scale = max(np.abs(data.x).max(), np.abs(data.p).max(), 1.0)
+    if residuals.size and np.abs(residuals).max() > tol * data.dim * scale:
+        k = int(np.argmax(np.abs(residuals)))
+        raise ConstraintViolationError(
+            f"{kind}-constraint on row {rows[k]} ({basis.labels[rows[k]]}) "
+            f"violated by {residuals[k]:.3e} at step {data.step}"
+        )
+
+
 def forward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
                   basis_to: ClassifiedBasis, data: CanonicalData,
                   free_values=None, tol: float = DEFAULT_TOL,
@@ -110,19 +126,19 @@ def forward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
     mode raises, otherwise the violation is only recorded).  A-priori-free
     output rows are filled from ``free_values`` (default zero).
     """
+    # backward_solve runs this on reversed data: both messages hold either way
+    if data.momentum_side != "pre":
+        raise InputError("the data's momentum side does not match the solve direction: "
+                         "pre-side data solves forward, post-side data backward")
     if data.step != move.step_from or data.dim != move.dim:
-        raise InputError("data does not match the move's initial step")
+        raise InputError(f"data at step {data.step} ({data.dim} slots) does not fit a "
+                         f"solve from step {move.step_from} ({move.dim} slots)")
     split_from = split_variables(basis_from, a_next=move.a)
     pre_pi = split_from.pre_pi(data.x, data.p)
     left = basis_from.left_rows
-    scale = max(np.abs(data.x).max(), np.abs(data.p).max(), 1.0)
-    residuals = pre_pi[left] if left.size else np.zeros(0)
-    if strict and residuals.size and np.abs(residuals).max() > tol * move.dim * scale:
-        k = int(np.argmax(np.abs(residuals)))
-        raise ConstraintViolationError(
-            f"pre-constraint on row {left[k]} ({basis_from.labels[left[k]]}) "
-            f"violated by {residuals[k]:.3e} at step {data.step}"
-        )
+    residuals = pre_pi[left]
+    if strict:
+        _check_constraints(residuals, left, basis_from, "pre", data, tol)
 
     a_rows, b_rows, c_ab = observable_block(move.c, basis_from, basis_to, tol)
     x_split_from = basis_from.to_split_config(data.x)
@@ -153,41 +169,20 @@ def backward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
                    basis_to: ClassifiedBasis, data: CanonicalData,
                    free_values=None, tol: float = DEFAULT_TOL,
                    strict: bool = True) -> SolveResult:
-    """Postdict pre-side data at the initial step from post-side data."""
-    if data.step != move.step_to or data.dim != move.dim:
-        raise InputError("data does not match the move's final step")
-    split_to = split_variables(basis_to, b_prev=move.b)
-    post_pi = split_to.post_pi(data.x, data.p)
-    right = basis_to.right_rows
-    scale = max(np.abs(data.x).max(), np.abs(data.p).max(), 1.0)
-    residuals = post_pi[right] if right.size else np.zeros(0)
-    if strict and residuals.size and np.abs(residuals).max() > tol * move.dim * scale:
-        k = int(np.argmax(np.abs(residuals)))
-        raise ConstraintViolationError(
-            f"post-constraint on row {right[k]} ({basis_to.labels[right[k]]}) "
-            f"violated by {residuals[k]:.3e} at step {data.step}"
-        )
+    """Postdict pre-side data at the initial step from post-side data.
 
-    a_rows, b_rows, c_ab = observable_block(move.c, basis_from, basis_to, tol)
-    x_split_to = basis_to.to_split_config(data.x)
-
-    x_split_from = np.zeros(move.dim)
-    pre_pi = np.zeros(move.dim)
-    if a_rows.size:
-        x_split_from[a_rows] = np.linalg.solve(c_ab.T, post_pi[b_rows])
-        pre_pi[a_rows] = -c_ab @ x_split_to[b_rows]
-    free_rows = basis_from.left_rows
-    injected = _free_vector(basis_from, free_rows, free_values)
-    x_split_from[free_rows] = injected
-
-    x_from = basis_from.from_split_config(x_split_from)
-    split_from = split_variables(basis_from, a_next=move.a)
-    p_from = split_from.momentum_from_pre_pi(x_from, pre_pi)
-    out = CanonicalData(step=move.step_from, x=x_from, p=p_from, momentum_side="pre")
+    This is ``forward_solve`` on the reversed move, bases and data, read back
+    under reversal; residuals and free-row labels are the caller's.
+    """
+    rev = forward_solve(move.reversed(), basis_to.reversed(), basis_from.reversed(),
+                        data.reversed(), free_values, tol, strict=False)
+    residuals = -rev.residuals
+    if strict:
+        _check_constraints(residuals, basis_to.right_rows, basis_to, "post", data, tol)
     return SolveResult(
-        data=out,
-        free_rows=tuple((int(r), basis_from.labels[r]) for r in free_rows),
-        injected=injected,
+        data=rev.data.reversed(),
+        free_rows=tuple((r, basis_from.labels[r]) for r, _ in rev.free_rows),
+        injected=rev.injected,
         residuals=residuals,
     )
 
@@ -295,15 +290,13 @@ def dof_report(move1: QuadraticMove, move2: QuadraticMove,
             f"reduced-phase-space formulas disagree: {n_through} vs {alt}"
         )
 
-    n_move = {
-        (move1.step_from, move1.step_to): 2 * len(basis_initial.pre_observable_rows),
-        (move2.step_from, move2.step_to): 2 * len(basis_mid.pre_observable_rows),
-    }
-    # cross-check against the other end of each move
-    if 2 * len(basis_mid.post_observable_rows) != n_move[(move1.step_from, move1.step_to)]:
-        raise InternalError("pre/post observable counts differ across the first move")
-    if 2 * len(basis_final.post_observable_rows) != n_move[(move2.step_from, move2.step_to)]:
-        raise InternalError("pre/post observable counts differ across the second move")
+    n_move = {}
+    for which, move, b_from, b_to in (("first", move1, basis_initial, basis_mid),
+                                      ("second", move2, basis_mid, basis_final)):
+        n_move[(move.step_from, move.step_to)] = 2 * len(b_from.pre_observable_rows)
+        # cross-check against the other end of the move
+        if len(b_to.post_observable_rows) != len(b_from.pre_observable_rows):
+            raise InternalError(f"pre/post observable counts differ across the {which} move")
 
     counts = {
         basis_initial.step: basis_initial.counts,

@@ -223,16 +223,10 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
     q = k1.dim_out
     if k2.dim_in != q or basis_mid.dim != q:
         raise InputError("glued-step dimensions disagree")
-    for d in k1.deltas:
-        if np.abs(d[k1.dim_in:]).max() > tol:
+    for which, glued in (("first", k1.deltas[:, k1.dim_in:]), ("second", k2.deltas[:, :q])):
+        if glued.size and np.abs(glued).max() > tol:
             raise InputError(
-                "a delta factor of the first kernel involves the glued step; "
-                "solve it before composing"
-            )
-    for d in k2.deltas:
-        if np.abs(d[:q]).max() > tol:
-            raise InputError(
-                "a delta factor of the second kernel involves the glued step; "
+                f"a delta factor of the {which} kernel involves the glued step; "
                 "solve it before composing"
             )
     hbar = k1.hbar
@@ -524,12 +518,11 @@ def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
     except DegeneracyError:
         return False
     scale = max(np.abs(kernel.C).max(), 1.0)
-    left = basis_from.T[basis_from.left_rows] @ kernel.C
-    right = kernel.C @ basis_to.T[basis_to.right_rows].T
-    if left.size and np.abs(left).max() > tol * kernel.dim_in * scale:
-        return False
-    if right.size and np.abs(right).max() > tol * kernel.dim_in * scale:
-        return False
+    # pre-constraint rows of the initial step, post-constraint rows of the final
+    for block in (basis_from.T[basis_from.left_rows] @ kernel.C,
+                  kernel.C @ basis_to.T[basis_to.right_rows].T):
+        if block.size and np.abs(block).max() > tol * kernel.dim_in * scale:
+            return False
     return bool(abs(kernel.log_modulus - target) <= 1e3 * tol * max(abs(target), 1.0))
 
 

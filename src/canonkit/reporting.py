@@ -155,8 +155,8 @@ def _move_kernels(seq, bases, from_step, to_step, tol):
             kernels[(m.step_from, m.step_to)] = propagator_from_move(
                 m, bases[m.step_from], bases[m.step_to], hbar=seq.hbar, tol=tol
             )
-            pre = [c for c in primary_constraints(None, m, bases[m.step_from])]
-            post = [c for c in primary_constraints(m, None, bases[m.step_to])]
+            pre = primary_constraints(None, m, bases[m.step_from])
+            post = primary_constraints(m, None, bases[m.step_to])
             move_dims[f"{m.step_from}->{m.step_to}"] = {
                 "pre": hilbert_dims(pre, seq.dim, tol),
                 "post": hilbert_dims(post, seq.dim, tol),
@@ -191,11 +191,9 @@ def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
         eff = chain_compose(seq, from_step, to_step, tol)
         b_from, b_to = effective_outer_bases(eff, tol)
         cons = effective_constraints(eff, b_from, b_to, tol)
-        pre = [c for c in cons if c.kind == "pre"]
-        post = [c for c in cons if c.kind == "post"]
         section["hilbert_dims"][f"{from_step}->{to_step}"] = {
-            "pre": hilbert_dims(pre, seq.dim, tol),
-            "post": hilbert_dims(post, seq.dim, tol),
+            side: hilbert_dims([c for c in cons if c.kind == side], seq.dim, tol)
+            for side in ("pre", "post")
         }
         # the raw composed amplitude is reported on the kernel itself; the
         # re-derived fixed measure of the composed move sits next to it

@@ -196,5 +196,13 @@ def load_free_values(path):
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if isinstance(data, dict):
+        if "free" not in data and "values" not in data:
+            raise InputError(f"{path}: free-value file needs a 'free' or 'values' list")
         data = data.get("free", data.get("values"))
-    return np.asarray(data, dtype=float)
+    try:
+        values = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: free values must be numbers: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{path}: free values must be finite numbers")
+    return values

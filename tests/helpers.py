@@ -10,11 +10,15 @@ library implements.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from canonkit.actions import QuadraticMove
-from canonkit.classify import VECTOR_TYPES
-from canonkit.linalg import Subspace, right_null_basis
+from canonkit.actions import MoveSequence, QuadraticMove
+from canonkit.classify import VECTOR_TYPES, split_variables
+from canonkit.errors import ConstraintViolationError, InputError
+from canonkit.evolution import CanonicalData, SolveResult, _free_vector, observable_block
+from canonkit.linalg import DEFAULT_TOL, Subspace, right_null_basis
 
 
 def random_orthogonal(rng, n):
@@ -252,3 +256,63 @@ def oracle_subtract(s, *excluded, tol=1e-10):
 def label_groups(basis):
     """Subspace spanned by each label's rows of a classified basis."""
     return {t: Subspace(basis.dim, basis.block(t).T) for t in VECTOR_TYPES}
+
+
+# ---------------------------------------------------------------------------
+# time reversal
+# ---------------------------------------------------------------------------
+
+
+def reverse_sequence(seq):
+    """The sequence read backward in time, with step n relabelled
+    first + last - n so that the reversed moves run upward again."""
+    flip = seq.first_step + seq.last_step
+    moves = tuple(
+        replace(m.reversed(), step_from=flip - m.step_to, step_to=flip - m.step_from)
+        for m in reversed(seq.moves)
+    )
+    return MoveSequence(seq.dim, moves, hbar=seq.hbar)
+
+
+def oracle_backward_solve(move, basis_from, basis_to, data, free_values=None,
+                          tol=DEFAULT_TOL, strict=True):
+    """The backward solve written out as the mirror image of
+    ``forward_solve``: the reference for ``evolution.backward_solve``,
+    which runs the forward solve on the reversed move, bases and data."""
+    if data.step != move.step_to or data.dim != move.dim:
+        raise InputError("data does not match the move's final step")
+    split_to = split_variables(basis_to, b_prev=move.b)
+    post_pi = split_to.post_pi(data.x, data.p)
+    right = basis_to.right_rows
+    scale = max(np.abs(data.x).max(), np.abs(data.p).max(), 1.0)
+    residuals = post_pi[right] if right.size else np.zeros(0)
+    if strict and residuals.size and np.abs(residuals).max() > tol * move.dim * scale:
+        k = int(np.argmax(np.abs(residuals)))
+        raise ConstraintViolationError(
+            f"post-constraint on row {right[k]} ({basis_to.labels[right[k]]}) "
+            f"violated by {residuals[k]:.3e} at step {data.step}"
+        )
+
+    a_rows, b_rows, c_ab = observable_block(move.c, basis_from, basis_to, tol)
+    x_split_to = basis_to.to_split_config(data.x)
+
+    x_split_from = np.zeros(move.dim)
+    pre_pi = np.zeros(move.dim)
+    if a_rows.size:
+        x_split_from[a_rows] = np.linalg.solve(c_ab.T, post_pi[b_rows])
+        pre_pi[a_rows] = -c_ab @ x_split_to[b_rows]
+    free_rows = basis_from.left_rows
+    injected = _free_vector(basis_from, free_rows, free_values)
+    x_split_from[free_rows] = injected
+
+    x_from = basis_from.from_split_config(x_split_from)
+    # p from -pi = T p + T a x at the initial step
+    p_split = pre_pi - (basis_from.T @ move.a) @ x_from
+    p_from = basis_from.from_split_momentum(p_split)
+    out = CanonicalData(step=move.step_from, x=x_from, p=p_from, momentum_side="pre")
+    return SolveResult(
+        data=out,
+        free_rows=tuple((int(r), basis_from.labels[r]) for r in free_rows),
+        injected=injected,
+        residuals=residuals,
+    )

@@ -310,3 +310,51 @@ def test_quantum_propagator_composes_nothing(fixture_files, capsys, monkeypatch)
     assert main(["quantum", "propagator", "--input", str(moves), "--from", "0",
                  "--to", "2", "--basis", str(bases)]) == 0
     assert "kernel 1->2" in capsys.readouterr().out
+
+
+def _evolve(moves, bases, data_file, *extra):
+    return main(["evolve", "--input", str(moves), "--data", str(data_file),
+                 "--basis", str(bases), *extra])
+
+
+def test_evolve_side_must_match_direction(fixture_files, tmp_path, capsys):
+    moves, bases = fixture_files
+    post_file = tmp_path / "post.json"
+    post_file.write_text(json.dumps({"step": 1, "x": [0.0] * 12, "p": [0.0] * 12,
+                                     "side": "post"}))
+    capsys.readouterr()
+    assert _evolve(moves, bases, post_file) == 2
+    assert "momentum side" in capsys.readouterr().err
+    # a file without "side" holds pre-side data
+    untagged = tmp_path / "untagged.json"
+    untagged.write_text(json.dumps({"step": 2, "x": [0.0] * 12, "p": [0.0] * 12}))
+    assert _evolve(moves, bases, untagged, "--direction", "backward") == 2
+    assert "momentum side" in capsys.readouterr().err
+
+
+def test_evolve_backward_post_constraint_violation_exit_4(fixture_files, tmp_path, capsys):
+    moves, bases = fixture_files
+    rng = np.random.default_rng(5)
+    data_file = tmp_path / "post.json"
+    data_file.write_text(json.dumps({"step": 2, "x": rng.normal(size=12).tolist(),
+                                     "p": rng.normal(size=12).tolist(), "side": "post"}))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file, "--direction", "backward") == 4
+    assert "post-constraint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("free, message", [
+    ({"free": ["a"] * 12}, "must be numbers"),
+    ({"free": [None] * 12}, "free values must be finite"),
+    ({"values": [[1.0], [2.0, 3.0]]}, "must be numbers"),
+    ({"x": [0.0] * 12}, "'free' or 'values'"),
+])
+def test_evolve_bad_free_values_exit_2(fixture_files, tmp_path, capsys, free, message):
+    moves, bases = fixture_files
+    data_file = tmp_path / "pre.json"
+    data_file.write_text(json.dumps({"step": 0, "x": [0.0] * 12, "p": [0.0] * 12}))
+    free_file = tmp_path / "free.json"
+    free_file.write_text(json.dumps(free))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file, "--free", str(free_file)) == 2
+    assert message in capsys.readouterr().err
