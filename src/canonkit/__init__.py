@@ -10,7 +10,8 @@ Library layout, one module per concern:
   the backward solve is the forward solve on time-reversed moves, bases and data
 - effective: move composition by alpha-block elimination; an effective move
   is a QuadraticMove that also carries its multiplier records
-- quantum: Gaussian-delta kernels, move measure, propagators, physical states
+- quantum: Gaussian-delta kernels, move measure, propagators, physical states;
+  a kernel holds its move, and kernel composition is compose plus the measure
 - lattice: scalar-field move generators (expanding square example)
 - serialize / reporting / cli: move files, reports, the canonkit command
 """

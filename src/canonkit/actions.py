@@ -111,8 +111,8 @@ class MoveSequence:
         for m in moves:
             if m.dim != self.dim:
                 raise InputError("all moves must share the sequence dimension")
-        if self.hbar <= 0:
-            raise InputError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise InputError("hbar must be positive and finite")
         object.__setattr__(self, "moves", moves)
 
     @property

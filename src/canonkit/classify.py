@@ -109,9 +109,6 @@ class ClassifiedBasis:
     def abs_det(self) -> float:
         return float(abs(np.linalg.det(self.T)))
 
-    def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.T)
-
     def to_split_config(self, x) -> np.ndarray:
         """x^Gamma = (T^-T x)^Gamma."""
         return np.linalg.solve(self.T.T, np.asarray(x, dtype=float))

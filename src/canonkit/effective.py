@@ -49,20 +49,14 @@ class EffectiveMove(QuadraticMove):
     provenance: tuple = ()    # step labels of the composed chain
 
 
-def _eliminate(a1, c1, b2, c2, h_plus):
-    """(a~, b~, c~) of the restricted-inverse elimination of the middle step;
-    shared by classical moves and quantum kernels."""
-    return a1 - c1 @ h_plus @ c1.T, b2 - c2.T @ h_plus @ c2, -c1 @ h_plus @ c2
-
-
 def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) -> EffectiveMove:
     """Integrate out the step shared by two adjacent moves."""
     if move1.step_to != move2.step_from:
         raise InputError("moves are not adjacent")
     if basis_mid.step != move1.step_to:
         raise InputError("basis is not classified at the shared step")
-    if move1.dim != move2.dim:
-        raise InputError("moves must share the extended dimension")
+    if not move1.dim == move2.dim == basis_mid.dim:
+        raise InputError("moves and basis must share the extended dimension")
     h_plus = basis_mid.restricted_hessian_inverse(move1.b + move2.a, tol)
 
     new_mult = ()
@@ -78,10 +72,13 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
     # a plain move carries no multipliers and spans its own two steps
     prov1 = getattr(move1, "provenance", (move1.step_from, move1.step_to))
     prov2 = getattr(move2, "provenance", (move2.step_from, move2.step_to))
+    c1, c2 = move1.c, move2.c
     return EffectiveMove(
         move1.step_from,
         move2.step_to,
-        *_eliminate(move1.a, move1.c, move2.b, move2.c, h_plus),
+        move1.a - c1 @ h_plus @ c1.T,
+        move2.b - c2.T @ h_plus @ c2,
+        -c1 @ h_plus @ c2,
         multipliers=(getattr(move1, "multipliers", ()) + getattr(move2, "multipliers", ())
                      + new_mult),
         provenance=tuple(dict.fromkeys(prov1 + prov2)),
@@ -110,14 +107,12 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
     )
     out = []
     for basis, primary, sources, sign in sides:
+        parts = [(rec.name, rec.constraint.x_part_at(basis.step)) for rec in eff.multipliers
+                 if rec.source_type in sources and basis.step in rec.constraint.steps]
         for con in primary:
-            terms = []
-            for rec in eff.multipliers:
-                if rec.source_type in sources and basis.step in rec.constraint.steps:
-                    coeff = sign * float(con.p_coeffs @ rec.constraint.x_part_at(basis.step))
-                    if abs(coeff) > tol * eff.dim:
-                        terms.append((rec.name, coeff))
-            out.append(replace(con, multiplier_terms=tuple(terms)))
+            coeffs = ((name, sign * float(con.p_coeffs @ x)) for name, x in parts)
+            terms = tuple((name, c) for name, c in coeffs if abs(c) > tol * eff.dim)
+            out.append(replace(con, multiplier_terms=terms) if terms else con)
     out.extend(rec.constraint for rec in eff.multipliers)
     return out
 

@@ -10,20 +10,21 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .actions import QuadraticMove
 from .classify import ALPHA_TYPES, ClassifiedBasis, hessian_block
 from .constraints import bracket_matrix, independent_count
-from .effective import Q_TYPES, _eliminate
+from .effective import compose
 from .errors import (
     DegeneracyError,
     DivergenceError,
     InputError,
 )
 from .evolution import observable_block
-from .linalg import DEFAULT_TOL, as_matrix, numeric_rank
+from .linalg import DEFAULT_TOL, numeric_rank
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,7 +98,8 @@ def _check_im_positive(g: np.ndarray, tol: float, what: str):
 class GaussianDeltaKernel:
     """amplitude * exp(i(x_inᵀ A x_in/2 + x_inᵀ C x_out + x_outᵀ B x_out/2)/hbar)
     times a product of one-dimensional deltas of linear functionals on
-    (x_in, x_out)."""
+    (x_in, x_out).  A, B and C are the matrices of ``move``, the
+    QuadraticMove in_step -> out_step; the phase is its action."""
 
     in_step: int
     out_step: int
@@ -110,21 +112,37 @@ class GaussianDeltaKernel:
     delta_labels: tuple = ()
     basis_in: ClassifiedBasis = None
     basis_out: ClassifiedBasis = None
+    move: QuadraticMove = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise InputError("hbar must be positive")
-        a, b, c = as_matrix(self.A), as_matrix(self.B), as_matrix(self.C)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
+        if not 0 < self.hbar < np.inf:
+            raise InputError("hbar must be positive and finite")
+        move = QuadraticMove(self.in_step, self.out_step, self.A, self.B, self.C)
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "A", move.a)
+        object.__setattr__(self, "B", move.b)
+        object.__setattr__(self, "C", move.c)
         d = self.deltas
         d = np.zeros((0, self.dim_in + self.dim_out)) if d is None else np.atleast_2d(np.asarray(d, float))
         if d.shape[0] and d.shape[1] != self.dim_in + self.dim_out:
             raise InputError("delta rows must span the concatenated space")
         if d.shape[0] and numeric_rank(d) < d.shape[0]:
             raise InputError("delta rows must be linearly independent")
+        if self.delta_labels and len(self.delta_labels) != d.shape[0]:
+            raise InputError("delta labels must be absent or one per delta row")
         object.__setattr__(self, "deltas", d)
+
+    def reversed(self) -> "GaussianDeltaKernel":
+        """The same kernel read backward in time, out_step -> in_step:
+        A <-> B, C -> Cᵀ, the in and out columns of the deltas swapped and
+        both bases reversed."""
+        return GaussianDeltaKernel(
+            in_step=self.out_step, out_step=self.in_step, hbar=self.hbar,
+            amplitude=self.amplitude, A=self.B, B=self.A, C=self.C.T,
+            deltas=np.roll(self.deltas, -self.dim_in, axis=1), delta_labels=self.delta_labels,
+            basis_in=self.basis_out and self.basis_out.reversed(),
+            basis_out=self.basis_in and self.basis_in.reversed(),
+        )
 
     @property
     def dim_in(self) -> int:
@@ -210,34 +228,29 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
                     basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) -> GaussianDeltaKernel:
     """Glue two kernels by integrating over the shared step.
 
-    A Faddeev-Popov fixing delta (unit determinant here) absorbs each
-    gauge (type I) direction; the alpha block integrates in closed form
-    (stationary phase is exact); every surviving l/r/z row emits one
-    delta factor carrying its holonomic or boundary-data constraint and a
-    factor 2 pi hbar.
+    The phase of the result is the classical composition of the two
+    kernels' moves.  A Faddeev-Popov fixing delta (unit determinant here)
+    absorbs each gauge (type I) direction; the alpha block integrates in
+    closed form (stationary phase is exact); every l/r/z row of the middle
+    step emits one delta factor, the holonomic or boundary-data constraint
+    of its multiplier record, and a factor 2 pi hbar.
     """
-    if k1.out_step != k2.in_step:
-        raise InputError("kernels are not adjacent")
     if k1.hbar != k2.hbar:
         raise InputError("kernels carry different hbar")
     q = k1.dim_out
-    if k2.dim_in != q or basis_mid.dim != q:
-        raise InputError("glued-step dimensions disagree")
     for which, glued in (("first", k1.deltas[:, k1.dim_in:]), ("second", k2.deltas[:, :q])):
         if glued.size and np.abs(glued).max() > tol:
             raise InputError(
                 f"a delta factor of the {which} kernel involves the glued step; "
                 "solve it before composing"
             )
+    eff = compose(k1.move, k2.move, basis_mid, tol)
     hbar = k1.hbar
-    h = k1.B + k2.A
-    h_plus = basis_mid.restricted_hessian_inverse(h, tol)
-    a_eff, b_eff, c_eff = _eliminate(k1.A, k1.C, k2.B, k2.C, h_plus)
-
     n_alpha = basis_mid.alpha_rows.size
     amp = k1.amplitude.times(k2.amplitude)
     amp = amp.times_log(np.log(basis_mid.abs_det))
     if n_alpha:
+        h = k1.B + k2.A
         lam = np.linalg.eigvalsh(hessian_block(basis_mid, h, ALPHA_TYPES, ALPHA_TYPES))
         signature = int(np.sum(lam > 0) - np.sum(lam < 0))
         amp = amp.times_log(
@@ -245,36 +258,30 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
             i_exponent=signature,
         )
 
-    new_deltas, new_labels = [], []
-    for label in Q_TYPES:
-        for k in basis_mid.rows_of(label):
-            row = basis_mid.T[k]
-            d = np.concatenate([k1.C @ row, k2.C.T @ row])
-            new_deltas.append(d)
-            new_labels.append(f"{label}@{basis_mid.step}")
-            amp = amp.times_log(np.log(TWO_PI * hbar))
-
-    carried = []
-    labels = []
-    dim_in, dim_out = k1.dim_in, k2.dim_out
-    for d, lab in zip(k1.deltas, k1.delta_labels or [""] * len(k1.deltas)):
-        carried.append(np.concatenate([d[:dim_in], np.zeros(dim_out)]))
-        labels.append(lab)
-    for d, lab in zip(k2.deltas, k2.delta_labels or [""] * len(k2.deltas)):
-        carried.append(np.concatenate([np.zeros(dim_in), d[q:]]))
-        labels.append(lab)
-    all_deltas = carried + new_deltas
-    all_labels = tuple(labels) + tuple(new_labels)
+    # carried deltas keep their outer columns; a new delta row holds its
+    # constraint's coefficients at each outer step it lives at
+    n1, n2 = k1.deltas.shape[0], k2.deltas.shape[0]
+    din = k1.dim_in
+    deltas = np.zeros((n1 + n2 + len(eff.multipliers), din + k2.dim_out))
+    deltas[:n1, :din] = k1.deltas[:, :din]
+    deltas[n1:n1 + n2, din:] = k2.deltas[:, q:]
+    labels = (k1.delta_labels or ("",) * n1) + (k2.delta_labels or ("",) * n2)
+    for i, rec in enumerate(eff.multipliers, n1 + n2):
+        for step, cols in ((k1.in_step, np.s_[:din]), (k2.out_step, np.s_[din:])):
+            if step in rec.constraint.steps:
+                deltas[i, cols] = rec.constraint.x_part_at(step)
+        labels += (f"{rec.source_type}@{rec.step}",)
+        amp = amp.times_log(np.log(TWO_PI * hbar))
     return GaussianDeltaKernel(
         in_step=k1.in_step,
         out_step=k2.out_step,
         hbar=hbar,
         amplitude=amp,
-        A=a_eff,
-        B=b_eff,
-        C=c_eff,
-        deltas=np.vstack(all_deltas) if all_deltas else None,
-        delta_labels=all_labels,
+        A=eff.a,
+        B=eff.b,
+        C=eff.c,
+        deltas=deltas,
+        delta_labels=labels,
         basis_in=k1.basis_in,
         basis_out=k2.basis_out,
     )
@@ -302,8 +309,8 @@ class GaussianState:
             raise InputError("M must be square and j a matching vector")
         if np.abs(m - m.T).max() > 1e-12 * max(np.abs(m).max(), 1.0):
             raise InputError("M must be (complex) symmetric")
-        if self.hbar <= 0:
-            raise InputError("hbar must be positive")
+        if not 0 < self.hbar < np.inf:
+            raise InputError("hbar must be positive and finite")
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "j", j)
 
@@ -464,24 +471,19 @@ def check_annihilation(kernel: GaussianDeltaKernel, constraint, side: str,
                 f"constraint references step {other} which the kernel does not carry"
             )
         far = constraint.x_part_at(other)
+    if side == "pre":
+        # the pre-momentum acts on K as minus the post-momentum acts on the
+        # reversed kernel; the check below works in the reversed columns
+        kernel, p = kernel.reversed(), -p
 
     din, dout = kernel.dim_in, kernel.dim_out
+    # p-hat K = (grad_out phase) K: C^T x_in + B x_out
     ell = np.zeros(din + dout)
-    if side == "post":
-        # p-hat K = (grad_out phase) K: C^T x_in + B x_out
-        ell[:din] += kernel.C @ p
-        ell[din:] += kernel.B @ p + x_own
-        if far is not None:
-            ell[:din] += far
-        p_hits = kernel.deltas[:, din:] @ p if kernel.deltas.shape[0] else np.zeros(0)
-    else:
-        # pre-constraints annihilate the reversed kernel; on K itself the
-        # pre-momentum acts as minus the in-gradient of the phase
-        ell[:din] += -(kernel.A @ p) + x_own
-        ell[din:] += -(kernel.C.T @ p)
-        if far is not None:
-            ell[din:] += far
-        p_hits = kernel.deltas[:, :din] @ p if kernel.deltas.shape[0] else np.zeros(0)
+    ell[:din] += kernel.C @ p
+    ell[din:] += kernel.B @ p + x_own
+    if far is not None:
+        ell[:din] += far
+    p_hits = kernel.deltas[:, din:] @ p if kernel.deltas.shape[0] else np.zeros(0)
 
     scale = max(
         np.abs(p).max() if p.size else 0.0,

@@ -146,21 +146,23 @@ def kernel_summary(kernel):
     }
 
 
+def _hilbert_pair(move, b_from, b_to, tol):
+    """Pre and post Hilbert dimensions of one move."""
+    return {"pre": hilbert_dims(primary_constraints(None, move, b_from), move.dim, tol),
+            "post": hilbert_dims(primary_constraints(move, None, b_to), move.dim, tol)}
+
+
 def _move_kernels(seq, bases, from_step, to_step, tol):
     """Propagator and pre/post Hilbert dimensions of every move in range."""
     kernels = {}
     move_dims = {}
     for m in seq.moves:
         if from_step <= m.step_from and m.step_to <= to_step:
+            b_from, b_to = bases[m.step_from], bases[m.step_to]
             kernels[(m.step_from, m.step_to)] = propagator_from_move(
-                m, bases[m.step_from], bases[m.step_to], hbar=seq.hbar, tol=tol
+                m, b_from, b_to, hbar=seq.hbar, tol=tol
             )
-            pre = primary_constraints(None, m, bases[m.step_from])
-            post = primary_constraints(m, None, bases[m.step_to])
-            move_dims[f"{m.step_from}->{m.step_to}"] = {
-                "pre": hilbert_dims(pre, seq.dim, tol),
-                "post": hilbert_dims(post, seq.dim, tol),
-            }
+            move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(m, b_from, b_to, tol)
     if not kernels:
         raise InputError(f"no moves between steps {from_step} and {to_step}")
     return kernels, move_dims
@@ -188,13 +190,10 @@ def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
         "hilbert_dims": move_dims,
     }
     if len(keys) > 1:
-        eff = chain_compose(seq, from_step, to_step, tol)
-        b_from, b_to = effective_outer_bases(eff, tol)
-        cons = effective_constraints(eff, b_from, b_to, tol)
-        section["hilbert_dims"][f"{from_step}->{to_step}"] = {
-            side: hilbert_dims([c for c in cons if c.kind == side], seq.dim, tol)
-            for side in ("pre", "post")
-        }
+        # the composed move's own classification of its outer steps
+        b_from, b_to = effective_outer_bases(composed.move, tol)
+        section["hilbert_dims"][f"{from_step}->{to_step}"] = _hilbert_pair(
+            composed.move, b_from, b_to, tol)
         # the raw composed amplitude is reported on the kernel itself; the
         # re-derived fixed measure of the composed move sits next to it
         fixed = normalized_measure(composed, b_from, b_to)

@@ -127,7 +127,10 @@ def sequence_from_dict(data: dict) -> MoveSequence:
         if a.shape != (q, q) or b.shape != (q, q) or c.shape != (q, q):
             raise InputError(f"move {n}: matrices must be {q}x{q}")
         moves.append(QuadraticMove(n - 1, n, a, b, c))
-    slot_maps = {int(k): list(v) for k, v in data.get("slot_maps", {}).items()}
+    try:
+        slot_maps = {int(k): list(v) for k, v in data.get("slot_maps", {}).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed slot_maps: {exc}") from exc
     return MoveSequence(q, tuple(moves), hbar=hbar, slot_maps=slot_maps)
 
 
@@ -135,27 +138,31 @@ def save_sequence(seq: MoveSequence, path) -> None:
     Path(path).write_text(dumps_indented(sequence_to_dict(seq)), encoding="utf-8")
 
 
-def load_sequence(path) -> MoveSequence:
+def _read_json(path):
+    """The parsed JSON content of a file; a missing file or malformed JSON
+    is an InputError."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return sequence_from_dict(data)
+
+
+def load_sequence(path) -> MoveSequence:
+    return sequence_from_dict(_read_json(path))
 
 
 def load_bases(path, dim: int) -> dict:
     """Basis override file -> {step: T matrix}."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
+    data = _read_json(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
         entries = data["bases"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed basis file: {exc}") from exc
+    if not isinstance(entries, list):
+        raise InputError(f"{path}: malformed basis file: 'bases' must be a list")
     out = {}
     for entry in entries:
         try:
@@ -171,16 +178,13 @@ def load_bases(path, dim: int) -> dict:
 
 def load_canonical_data(path, dim: int):
     """Canonical-data file: {"step": int, "x": [...], "p": [...], "side": "pre"|"post"}."""
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
+    data = _read_json(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
         step = int(data["step"])
         x = np.asarray(data["x"], dtype=float)
         p = np.asarray(data["p"], dtype=float)
         side = data.get("side", "pre")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed data file: {exc}") from exc
     if x.shape != (dim,) or p.shape != (dim,):
         raise InputError(f"x and p must have length {dim}")
@@ -188,13 +192,7 @@ def load_canonical_data(path, dim: int):
 
 
 def load_free_values(path):
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"no such file: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict):
         if "free" not in data and "values" not in data:
             raise InputError(f"{path}: free-value file needs a 'free' or 'values' list")

@@ -316,3 +316,62 @@ def oracle_backward_solve(move, basis_from, basis_to, data, free_values=None,
         injected=injected,
         residuals=residuals,
     )
+
+
+# ---------------------------------------------------------------------------
+# quantum kernels
+# ---------------------------------------------------------------------------
+
+
+def oracle_kernel_deltas(k1, k2, basis_mid):
+    """The new delta rows of ``compose_kernels(k1, k2, basis_mid)`` built
+    straight from the kernels' cross blocks, [C1 t, C2ᵀ t] for every l, r
+    and z row t of the glued step, in that order: the reference for the
+    rows the composition now takes from its multiplier records."""
+    rows = [np.concatenate([k1.C @ basis_mid.T[k], k2.C.T @ basis_mid.T[k]])
+            for label in ("l", "r", "z") for k in basis_mid.rows_of(label)]
+    return np.array(rows).reshape(len(rows), k1.dim_in + k2.dim_out)
+
+
+def oracle_check_annihilation_pre(kernel, constraint, tol=DEFAULT_TOL):
+    """The pre-side annihilation check written out on the kernel itself:
+    the reference for ``check_annihilation(kernel, constraint, "pre")``,
+    which runs the post-side check on the reversed kernel."""
+    step = kernel.in_step
+    if step not in constraint.steps:
+        raise InputError("constraint does not live at the kernel's pre step")
+    p = constraint.p_coeffs
+    x_own = constraint.x_part_at(step)
+    far = None
+    if len(constraint.steps) == 2:
+        other = [s for s in constraint.steps if s != step][0]
+        if other not in (kernel.in_step, kernel.out_step):
+            raise InputError(
+                f"constraint references step {other} which the kernel does not carry"
+            )
+        far = constraint.x_part_at(other)
+
+    din, dout = kernel.dim_in, kernel.dim_out
+    # the pre-momentum acts as minus the in-gradient of the phase
+    ell = np.zeros(din + dout)
+    ell[:din] += -(kernel.A @ p) + x_own
+    ell[din:] += -(kernel.C.T @ p)
+    if far is not None:
+        ell[din:] += far
+    p_hits = kernel.deltas[:, :din] @ p if kernel.deltas.shape[0] else np.zeros(0)
+
+    scale = max(
+        np.abs(p).max() if p.size else 0.0,
+        np.abs(x_own).max() if x_own.size else 0.0,
+        np.abs(kernel.A).max(), np.abs(kernel.B).max(), np.abs(kernel.C).max(), 1.0,
+    )
+    cut = tol * (din + dout) * scale
+    if p_hits.size and np.abs(p_hits).max() > cut:
+        return False
+    if np.abs(ell).max() <= cut:
+        return True
+    if kernel.deltas.shape[0] == 0:
+        return False
+    sol, *_ = np.linalg.lstsq(kernel.deltas.T, ell, rcond=None)
+    resid = ell - kernel.deltas.T @ sol
+    return bool(np.abs(resid).max() <= cut)

@@ -358,3 +358,40 @@ def test_evolve_bad_free_values_exit_2(fixture_files, tmp_path, capsys, free, me
     capsys.readouterr()
     assert _evolve(moves, bases, data_file, "--free", str(free_file)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action, hbar_field, hbar_flag", [
+    ("propagator", float("nan"), None),
+    ("compose", float("nan"), None),
+    ("compose", None, "inf"),
+    ("propagator", None, "nan"),
+])
+def test_quantum_non_finite_hbar_exit_2(fixture_files, tmp_path, capsys, action, hbar_field,
+                                        hbar_flag):
+    moves, _ = fixture_files
+    if hbar_field is not None:
+        data = json.loads(moves.read_text())
+        data["hbar"] = hbar_field
+        moves = tmp_path / "nan.json"
+        moves.write_text(json.dumps(data))     # the stdlib writes NaN as a bare token
+    extra = ["--hbar", hbar_flag] if hbar_flag else []
+    capsys.readouterr()
+    assert main(["quantum", action, "--input", str(moves), "--from", "0", "--to", "2",
+                 *extra]) == 2
+    assert "hbar must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, key, value", [
+    ("moves", "slot_maps", [1, 2]),
+    ("moves", "slot_maps", {"0": 5}),
+    ("bases", "bases", 3),
+])
+def test_malformed_slot_maps_and_bases_exit_2(fixture_files, capsys, target, key, value):
+    moves, bases = fixture_files
+    path = moves if target == "moves" else bases
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["classify", "--input", str(moves), "--basis", str(bases), "--step", "1"]) == 2
+    assert "malformed" in capsys.readouterr().err

@@ -548,3 +548,32 @@ def test_normalized_measure_unequal_observable_counts():
     with pytest.raises(DegeneracyError):
         normalized_measure(k, b[1], b[1])
     assert normalized_measure(k, b[0], b[1]) == k.amplitude
+
+
+def test_kernel_matrices_must_be_square_and_equally_sized():
+    # the kernel's phase is a QuadraticMove: a 3x3 C with 2x2 A and B is
+    # rejected at construction, not by numpy at first use
+    with pytest.raises(InputError, match="square and equally sized"):
+        GaussianDeltaKernel(0, 1, 1.0, Amplitude(), np.eye(2), np.eye(2), np.eye(3))
+    with pytest.raises(InputError, match="square and equally sized"):
+        GaussianDeltaKernel(0, 1, 1.0, Amplitude(), np.eye(2), np.eye(2), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf])
+def test_hbar_must_be_positive_and_finite(hbar):
+    from canonkit.actions import MoveSequence
+
+    move = QuadraticMove(0, 1, [[0.0]], [[0.0]], [[1.0]])
+    with pytest.raises(InputError, match="hbar must be positive and finite"):
+        MoveSequence(1, (move,), hbar=hbar)
+    with pytest.raises(InputError, match="hbar must be positive and finite"):
+        GaussianDeltaKernel(0, 1, hbar, Amplitude(), move.a, move.b, move.c)
+    with pytest.raises(InputError, match="hbar must be positive and finite"):
+        GaussianState(0, hbar, Amplitude(), M=[[1j]], j=[0.0])
+
+
+def test_delta_labels_must_match_the_delta_rows():
+    # a short label tuple once made compose_kernels drop the unlabelled rows
+    with pytest.raises(InputError, match="one per delta row"):
+        GaussianDeltaKernel(0, 1, 1.0, Amplitude(), np.zeros((2, 2)), np.zeros((2, 2)),
+                            np.eye(2), deltas=np.eye(4)[:2], delta_labels=("only-one",))

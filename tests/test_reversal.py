@@ -1,10 +1,13 @@
-"""Time reversal: the move, basis and data transforms and the solves built on them.
+"""Time reversal: the move, basis, data and kernel transforms and what is built on them.
 
 Reversing a move n -> n+1 keeps its step labels and maps (a, b, c) to
 (b, a, cᵀ); a classified basis keeps T and swaps l <-> r and lambda <-> rho;
-canonical data keeps x and maps p -> -p and pre <-> post.  ``backward_solve``
-is ``forward_solve`` on the reversed objects, checked here against the
-mirrored solve it replaced (``helpers.oracle_backward_solve``).
+canonical data keeps x and maps p -> -p and pre <-> post; a kernel swaps
+A <-> B, transposes C and swaps the in and out columns of its deltas.
+``backward_solve`` is ``forward_solve`` on the reversed objects, checked here
+against the mirrored solve it replaced (``helpers.oracle_backward_solve``);
+the pre-side annihilation check is the post-side check on the reversed
+kernel, checked against ``helpers.oracle_check_annihilation_pre``.
 """
 
 import re
@@ -15,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import designed_instance, label_groups, oracle_backward_solve, reverse_sequence
+from helpers import (
+    designed_instance,
+    label_groups,
+    oracle_backward_solve,
+    oracle_check_annihilation_pre,
+    oracle_kernel_deltas,
+    reverse_sequence,
+)
 
 from canonkit.actions import post_momentum, pre_momentum
 from canonkit.classify import (
@@ -25,10 +35,12 @@ from canonkit.classify import (
     classify_step,
     split_variables,
 )
-from canonkit.constraints import primary_constraints
+from canonkit.constraints import LinearConstraint, primary_constraints, secondary_constraints
+from canonkit.effective import compose
 from canonkit.errors import ConstraintViolationError, InputError
 from canonkit.evolution import CanonicalData, backward_solve, forward_solve
 from canonkit.lattice import expanding_square_sequence
+from canonkit.quantum import check_annihilation, compose_kernels, propagator_from_move
 
 
 def mirror(label):
@@ -247,3 +259,83 @@ def test_backward_post_constraint_violation(square_fixture):
     old = oracle_backward_solve(move, bases[1], bases[2], data, strict=False)
     assert np.abs(loose.residuals).max() > 0
     assert_allclose(loose.residuals, old.residuals, rtol=1e-12, atol=0)
+
+
+# -- kernels -----------------------------------------------------------------
+
+
+def _kernels(sizes, seed):
+    """The two propagators of a designed chain and their composition."""
+    m1, m2, (b0, b1, b2) = _chain(sizes, seed)
+    k1, k2 = propagator_from_move(m1, b0, b1), propagator_from_move(m2, b1, b2)
+    return (m1, m2, (b0, b1, b2)), (k1, k2, compose_kernels(k1, k2, b1))
+
+
+@REVERSAL
+@given(sizes_strategy, seeds)
+def test_kernel_reversal_is_an_exact_involution(sizes, seed):
+    _, kernels = _kernels(sizes, seed)
+    for k in kernels:
+        rev = k.reversed()
+        assert (rev.in_step, rev.out_step) == (k.out_step, k.in_step)
+        assert np.array_equal(rev.A, k.B) and np.array_equal(rev.B, k.A)
+        assert np.array_equal(rev.C, k.C.T)
+        assert np.array_equal(rev.deltas, np.hstack([k.deltas[:, k.dim_in:],
+                                                     k.deltas[:, :k.dim_in]]))
+        assert rev.basis_in.counts == mirrored_counts(k.basis_out.counts)
+        assert rev.basis_out.counts == mirrored_counts(k.basis_in.counts)
+        move = k.move.reversed()
+        for got, want in ((rev.move.a, move.a), (rev.move.b, move.b), (rev.move.c, move.c)):
+            assert got.tobytes() == want.tobytes()
+
+        back = rev.reversed()
+        assert (back.in_step, back.out_step, back.hbar) == (k.in_step, k.out_step, k.hbar)
+        assert back.amplitude == k.amplitude and back.delta_labels == k.delta_labels
+        for got, want in ((back.A, k.A), (back.B, k.B), (back.C, k.C), (back.deltas, k.deltas)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in ((back.basis_in, k.basis_in), (back.basis_out, k.basis_out)):
+            assert got.labels == want.labels and got.T is want.T
+
+
+@REVERSAL
+@given(sizes_strategy, seeds)
+def test_pre_side_annihilation_matches_the_oracle(sizes, seed):
+    (m1, m2, (b0, b1, _)), (k1, k2, k02) = _kernels(sizes, seed)
+    rng = np.random.default_rng(seed)
+    q = m1.dim
+    outer = [c for c in secondary_constraints(m1, m2, b1) if 0 in c.steps]
+    pools = (
+        (k1, primary_constraints(None, m1, b0)),
+        (k2, primary_constraints(m1, m2, b1)),
+        (k02, primary_constraints(None, m1, b0) + outer),
+    )
+    for k, pool in pools:
+        pool = pool + [LinearConstraint(step=k.in_step, kind="pre",
+                                        p_coeffs=rng.normal(size=q), x_coeffs=rng.normal(size=q))]
+        for c in pool:
+            assert check_annihilation(k, c, "pre") == oracle_check_annihilation_pre(k, c), c
+
+
+@REVERSAL
+@given(sizes_strategy, seeds)
+def test_composed_kernel_is_compose_plus_measure(sizes, seed):
+    (m1, m2, (_, b1, _)), (k1, k2, k02) = _kernels(sizes, seed)
+    eff = compose(m1, m2, b1)
+    for got, want in ((k02.A, eff.a), (k02.B, eff.b), (k02.C, eff.c)):
+        assert got.tobytes() == want.tobytes()
+    # one delta row per multiplier record: l -> [x, 0], r -> [0, x], z -> [x, x_other]
+    q = m1.dim
+    rows = np.zeros((len(eff.multipliers), 2 * q))
+    for row, rec in zip(rows, eff.multipliers):
+        con = rec.constraint
+        if rec.source_type == "r":
+            row[q:] = con.x_coeffs
+        else:
+            row[:q] = con.x_coeffs
+        if rec.source_type == "z":
+            row[q:] = con.x_coeffs_other
+    assert np.array_equal(k02.deltas, rows)
+    assert k02.delta_labels == tuple(f"{rec.source_type}@1" for rec in eff.multipliers)
+    old = oracle_kernel_deltas(k1, k2, b1)
+    assert old.shape == k02.deltas.shape
+    assert np.abs(k02.deltas - old).max(initial=0.0) <= 1e-12
