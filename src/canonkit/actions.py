@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, as_matrix
-
-
-def _sym_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.T).max()) if m.size else 0.0
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry, with_scale
 
 
 @dataclass(frozen=True)
@@ -212,14 +208,20 @@ def post_momentum(move: QuadraticMove, x_from, x_to) -> np.ndarray:
     return move.c.T @ np.asarray(x_from, float) + move.b @ np.asarray(x_to, float)
 
 
+def moves_tolerance(tol, *moves) -> Tolerance:
+    """``tol`` measured against the moves' scale, the largest |entry| of
+    every a, b and c; a Tolerance keeps the scale it already carries."""
+    return with_scale(tol, *(mat for m in moves for mat in (m.a, m.b, m.c)))
+
+
 def validate(seq: MoveSequence, tol: float = DEFAULT_TOL) -> list:
     """Human-readable findings; empty iff all sequence invariants hold."""
     findings = []
+    tol = moves_tolerance(tol, *seq.moves)
     for m in seq.moves:
-        scale = max(np.abs(m.a).max(), np.abs(m.b).max(), 1.0)
         for name, mat in (("a", m.a), ("b", m.b)):
-            defect = _sym_defect(mat)
-            if defect > tol * seq.dim * scale:
+            defect = asymmetry(mat, tol)
+            if defect:
                 findings.append(
                     f"move {m.step_from}->{m.step_to}: {name} asymmetric "
                     f"(max defect {defect:.3e})"

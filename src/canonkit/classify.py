@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .actions import moves_tolerance
 from .errors import DegeneracyError, InputError
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
+    asymmetry,
     full_space,
     intersect,
     inverse_on_rows,
@@ -31,6 +33,8 @@ from .linalg import (
     numeric_rank,
     right_null_basis,
     subtract,
+    with_scale,
+    zero_cut,
 )
 
 VECTOR_TYPES = ("I", "H", "l", "lambda", "r", "rho", "z", "gamma")
@@ -44,6 +48,12 @@ PRE_OBS_TYPES = ("r", "rho", "z", "gamma")  # A rows: propagate out of the step
 POST_OBS_TYPES = ("l", "lambda", "z", "gamma")  # B rows: propagate into the step
 # time reversal swaps coarse-graining and refining types and fixes the rest
 REVERSED_TYPE = {"l": "r", "r": "l", "lambda": "rho", "rho": "lambda"}
+# (in rightNull(c_prev), in leftNull(c_next), in null(h)) -> type
+TYPE_OF_MEMBERSHIP = {
+    (True, True, True): "I", (True, True, False): "H", (False, True, True): "l",
+    (False, True, False): "lambda", (True, False, True): "r", (True, False, False): "rho",
+    (False, False, True): "z", (False, False, False): "gamma",
+}
 
 
 @dataclass(frozen=True)
@@ -134,21 +144,6 @@ class ClassifiedBasis:
                                f"alpha block of the Hessian at step {self.step}")
 
 
-def _null_data(c_prev, c_next, h, q: int, tol: float):
-    h = as_matrix(h)
-    if h.shape != (q, q):
-        raise InputError("Hessian dimension mismatch")
-    scale = np.abs(h).max() if h.size else 0.0
-    if scale and np.abs(h - h.T).max() > tol * q * scale:
-        raise InputError("Hessian must be symmetric")
-    right = full_space(q) if c_prev is None else right_null_basis(as_matrix(c_prev), tol)
-    left = full_space(q) if c_next is None else left_null_basis(as_matrix(c_next), tol)
-    hnull = right_null_basis(h, tol)
-    if right.ambient_dim != q or left.ambient_dim != q:
-        raise InputError("cross-matrix dimensions do not match the Hessian")
-    return right, left, hnull
-
-
 def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) -> ClassifiedBasis:
     """Build the labelled transformation basis at one step.
 
@@ -158,8 +153,18 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     I first, then H/l/r, then lambda/rho, then z, then gamma; each group is
     internally orthonormal.
     """
-    q = as_matrix(h).shape[0]
-    right, left, hnull = _null_data(c_prev, c_next, h, q, tol)
+    h = as_matrix(h)
+    q = h.shape[0]
+    if h.shape != (q, q):
+        raise InputError("Hessian dimension mismatch")
+    tol = with_scale(tol, c_prev, c_next, h)
+    if asymmetry(h, tol):
+        raise InputError("Hessian must be symmetric")
+    right = full_space(q) if c_prev is None else right_null_basis(c_prev, tol)
+    left = full_space(q) if c_next is None else left_null_basis(c_next, tol)
+    hnull = right_null_basis(h, tol)
+    if right.ambient_dim != q or left.ambient_dim != q:
+        raise InputError("cross-matrix dimensions do not match the Hessian")
 
     two_sided = intersect(right, left, tol)
     grp = {}
@@ -173,70 +178,54 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     chosen = [grp[t] for t in ("I", "H", "l", "lambda", "r", "rho", "z")]
     grp["gamma"] = subtract(full_space(q), *chosen, tol=tol)
 
-    rows, labels = [], []
-    for t in VECTOR_TYPES:
-        sub = grp[t]
-        for k in range(sub.dim):
-            rows.append(sub.basis[:, k])
-            labels.append(t)
-    if len(rows) != q:
+    labels = tuple(t for t in VECTOR_TYPES for _ in range(grp[t].dim))
+    if len(labels) != q:
         raise DegeneracyError(
-            f"step {step}: classification produced {len(rows)} of {q} basis vectors"
+            f"step {step}: classification produced {len(labels)} of {q} basis vectors"
         )
-    t_matrix = np.vstack(rows)
-    if numeric_rank(t_matrix, tol) < q:
+    t_matrix = np.vstack([grp[t].basis.T for t in VECTOR_TYPES])
+    # T is dimensionless: its rank is not measured against the problem scale
+    if numeric_rank(t_matrix, float(tol)) < q:
         raise DegeneracyError(f"step {step}: classified basis is numerically singular")
-    basis = ClassifiedBasis(step=step, T=t_matrix, labels=tuple(labels), tol=tol)
-    _check_counts(basis, right, left, hnull, tol)
-    return basis
-
-
-def _check_counts(basis, right, left, hnull, tol):
-    c = basis.counts
-    q = basis.dim
-    if sum(c.values()) != q:
-        raise DegeneracyError("type counts do not sum to the dimension")
-    n_left = c["I"] + c["H"] + c["l"] + c["lambda"]
-    n_right = c["I"] + c["H"] + c["r"] + c["rho"]
-    n_null = c["I"] + c["l"] + c["r"] + c["z"]
-    if n_left != left.dim or n_right != right.dim or n_null != hnull.dim:
+    c = {t: grp[t].dim for t in VECTOR_TYPES}
+    if (c["I"] + c["H"] + c["l"] + c["lambda"] != left.dim
+            or c["I"] + c["H"] + c["r"] + c["rho"] != right.dim
+            or c["I"] + c["l"] + c["r"] + c["z"] != hnull.dim):
         raise DegeneracyError("group dimensions inconsistent with null spaces")
+    return ClassifiedBasis(step=step, T=t_matrix, labels=labels, tol=tol)
+
+
+def _row_labels(rows: np.ndarray, c_prev, c_next, h, tol) -> tuple:
+    """Type label of every row by direct membership tests; each matrix takes
+    one sigma_max and one product with all rows."""
+    norms = np.linalg.norm(rows, axis=1)
+
+    def is_null(mat, transpose):
+        if mat is None:
+            return [True] * len(rows)
+        m = as_matrix(mat)
+        sigma = np.linalg.svd(m, compute_uv=False)[0] if m.size else 0.0
+        prod = rows @ (m.T if transpose else m)
+        return (np.linalg.norm(prod, axis=1) <= zero_cut(tol, max(m.shape), sigma) * norms).tolist()
+
+    memberships = zip(is_null(c_prev, True), is_null(c_next, False), is_null(h, False))
+    return tuple(TYPE_OF_MEMBERSHIP[key] for key in memberships)
 
 
 def label_for(v, c_prev, c_next, h, tol: float = DEFAULT_TOL) -> str:
     """Type label of a single vector by direct membership tests."""
-    v = np.asarray(v, dtype=float)
-    q = v.size
-
-    def is_null(mat, left_side):
-        if mat is None:
-            return True
-        m = as_matrix(mat)
-        prod = v @ m if left_side else m @ v
-        s = np.linalg.svd(m, compute_uv=False)
-        scale = (s[0] if s.size else 0.0) * max(m.shape)
-        return np.linalg.norm(prod) <= tol * max(scale, 1e-300) * np.linalg.norm(v)
-
-    in_right = is_null(c_prev, left_side=False)
-    in_left = is_null(c_next, left_side=True)
-    in_hnull = is_null(h, left_side=True)
-    if in_right and in_left:
-        return "I" if in_hnull else "H"
-    if in_left:
-        return "l" if in_hnull else "lambda"
-    if in_right:
-        return "r" if in_hnull else "rho"
-    return "z" if in_hnull else "gamma"
+    rows = np.atleast_2d(np.asarray(v, dtype=float))
+    return _row_labels(rows, c_prev, c_next, h, with_scale(tol, c_prev, c_next, h))[0]
 
 
 def classify_rows(T, c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) -> ClassifiedBasis:
     """Label the rows of an explicitly supplied basis (e.g. a reference fixture)."""
     t = as_matrix(T)
     q = t.shape[0]
-    if numeric_rank(t, tol) < q:
+    if numeric_rank(t, float(tol)) < q:
         raise DegeneracyError(f"step {step}: supplied basis is singular")
-    labels = tuple(label_for(t[k], c_prev, c_next, h, tol) for k in range(q))
-    return ClassifiedBasis(step=step, T=t, labels=labels, tol=tol)
+    tol = with_scale(tol, c_prev, c_next, h)
+    return ClassifiedBasis(step=step, T=t, labels=_row_labels(t, c_prev, c_next, h, tol), tol=tol)
 
 
 def classify_sequence(seq, tol: float = DEFAULT_TOL, overrides: dict = None) -> dict:
@@ -246,6 +235,7 @@ def classify_sequence(seq, tol: float = DEFAULT_TOL, overrides: dict = None) -> 
     labelled with classify_rows instead of the default construction.
     An override for a step the sequence does not have is an InputError.
     """
+    tol = moves_tolerance(tol, *seq.moves)
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(seq.steps))
     if unknown:
@@ -307,14 +297,11 @@ def split_variables(basis: ClassifiedBasis, a_next=None, b_prev=None) -> Variabl
 
 def hessian_block(basis: ClassifiedBasis, h, row_types, col_types) -> np.ndarray:
     """The (row_types, col_types) sub-block of T h Tᵀ."""
-    if isinstance(row_types, str):
-        row_types = (row_types,)
-    if isinstance(col_types, str):
-        col_types = (col_types,)
-    return basis.block(*row_types) @ as_matrix(h) @ basis.block(*col_types).T
+    rows, cols = ((t,) if isinstance(t, str) else t for t in (row_types, col_types))
+    return basis.block(*rows) @ as_matrix(h) @ basis.block(*cols).T
 
 
 def m_lambda_rho(basis: ClassifiedBasis, h, tol: float = None) -> int:
     """Rank of the (lambda, rho) block of the Hessian in this basis."""
-    tol = basis.tol if tol is None else tol
+    tol = with_scale(basis.tol if tol is None else tol, h)
     return numeric_rank(hessian_block(basis, h, "lambda", "rho"), tol)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting, serialize
+from .actions import moves_tolerance
 from .classify import classify_sequence
 from .errors import (
     ConstraintViolationError,
@@ -53,6 +54,7 @@ def _emit(report, fmt: str, out):
 def _load(args):
     seq = serialize.load_sequence(args.input)
     overrides = serialize.load_bases(args.basis, seq.dim) if args.basis else None
+    args.tol = moves_tolerance(args.tol, *seq.moves)  # one problem scale per command
     bases = classify_sequence(seq, args.tol, overrides)
     return seq, bases
 

@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .actions import moves_tolerance
 from .classify import ClassifiedBasis, m_lambda_rho
 from .errors import InputError
-from .linalg import DEFAULT_TOL, numeric_rank
+from .linalg import DEFAULT_TOL, numeric_rank, with_scale, zero_cut
 
 KINDS = ("pre", "post", "holonomic_left", "holonomic_right", "boundary_data")
 
@@ -59,15 +60,9 @@ class LinearConstraint:
 
     def x_part_at(self, step: int) -> np.ndarray:
         """Configuration coefficients of this functional at a given step."""
-        if isinstance(self.step, (tuple, list)):
-            if step == self.step[0]:
-                return self.x_coeffs
-            if step == self.step[1]:
-                return self.x_coeffs_other
+        if step not in self.steps:
             raise InputError(f"constraint does not live at step {step}")
-        if step != self.step:
-            raise InputError(f"constraint does not live at step {step}")
-        return self.x_coeffs
+        return self.x_coeffs if step == self.steps[0] else self.x_coeffs_other
 
     def evaluate(self, x, p=None, x_other=None) -> float:
         val = float(self.x_coeffs @ np.asarray(x, float))
@@ -161,8 +156,10 @@ def bracket_table(constraints, h, basis: ClassifiedBasis, tol: float = DEFAULT_T
 
     Constraints that all live at one step are bracketed by ``bracket_matrix``;
     sets with boundary-data or mixed-step constraints go pair by pair through
-    ``poisson_bracket``.
+    ``poisson_bracket``.  A plain float ``tol`` is measured against the
+    scale of ``h``, or of the table when ``h`` is None.
     """
+    tol = with_scale(tol, h)
     constraints = tuple(constraints)
     n = len(constraints)
     steps = [c.step for c in constraints]
@@ -175,9 +172,9 @@ def bracket_table(constraints, h, basis: ClassifiedBasis, tol: float = DEFAULT_T
                 val = poisson_bracket(constraints[i], constraints[j])
                 table[i, j] = val
                 table[j, i] = -val
-    scale = max(np.abs(table).max() if table.size else 0.0, 1.0)
     row_max = np.abs(table).max(axis=1) if n else np.zeros(0)
-    tags = tuple("first" if r <= tol * n * scale else "second" for r in row_max)
+    cut = zero_cut(tol, n, row_max.max() if n else 0.0)
+    tags = tuple("first" if r <= cut else "second" for r in row_max)
     m = m_lambda_rho(basis, h, tol) if h is not None else 0
     return BracketTable(constraints=constraints, brackets=table, class_split=tags, m_lambda_rho=m)
 
@@ -197,10 +194,10 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
         raise InputError("basis step must sit between the two moves")
     q = basis.dim
     zeros = np.zeros(q)
-    mats = max(np.abs(move_prev.c).max(), np.abs(move_next.c).max(), 1.0)
+    cut = zero_cut(moves_tolerance(tol, move_prev, move_next), q)
 
     def is_trivial(*vecs):
-        return all(np.abs(v).max() <= tol * q * mats for v in vecs)
+        return all(np.abs(v).max() <= cut for v in vecs)
 
     sides = (("l", "holonomic_left", move_prev.step_from, move_prev.c),
              ("r", "holonomic_right", move_next.step_to, move_next.c.T))

@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actions import MoveSequence, QuadraticMove
-from .classify import ClassifiedBasis, classify_step, label_for
+from .actions import MoveSequence, QuadraticMove, moves_tolerance
+from .classify import ClassifiedBasis, classify_rows, classify_step
 from .constraints import LinearConstraint, primary_constraints, secondary_constraints
 from .errors import InputError, InternalError
-from .linalg import DEFAULT_TOL, right_null_basis
+from .linalg import DEFAULT_TOL, right_null_basis, zero_cut
 
 Q_TYPES = ("l", "r", "z")
 
@@ -57,6 +57,7 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
         raise InputError("basis is not classified at the shared step")
     if not move1.dim == move2.dim == basis_mid.dim:
         raise InputError("moves and basis must share the extended dimension")
+    tol = moves_tolerance(tol, move1, move2)
     h_plus = basis_mid.restricted_hessian_inverse(move1.b + move2.a, tol)
 
     new_mult = ()
@@ -96,6 +97,7 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
     """
     if basis_from.step != eff.step_from or basis_to.step != eff.step_to:
         raise InputError("outer bases do not match the effective move")
+    cut = zero_cut(moves_tolerance(tol, eff), eff.dim)
     # the move's primary pre-constraints (from side, l/z multipliers) and
     # post-constraints (to side, r/z multipliers) gain multiplier terms.
     # Multiplier records from earlier compositions in a chain may reference
@@ -111,7 +113,7 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
                  if rec.source_type in sources and basis.step in rec.constraint.steps]
         for con in primary:
             coeffs = ((name, sign * float(con.p_coeffs @ x)) for name, x in parts)
-            terms = tuple((name, c) for name, c in coeffs if abs(c) > tol * eff.dim)
+            terms = tuple((name, c) for name, c in coeffs if abs(c) > cut)
             out.append(replace(con, multiplier_terms=terms) if terms else con)
     out.extend(rec.constraint for rec in eff.multipliers)
     return out
@@ -124,6 +126,7 @@ def effective_outer_bases(eff: EffectiveMove, tol: float = DEFAULT_TOL):
     the incoming; this is the classification the move's own constraint
     and Hilbert-space counts refer to.
     """
+    tol = moves_tolerance(tol, eff)
     b_from = classify_step(None, eff.c, eff.a, tol, step=eff.step_from)
     b_to = classify_step(eff.c, None, eff.b, tol, step=eff.step_to)
     return b_from, b_to
@@ -148,15 +151,15 @@ def reclassify_onshell(eff_left, move_right, tol: float = DEFAULT_TOL,
     if eff_left.step_to != move_right.step_from:
         raise InputError("effective move and next move are not adjacent")
     step = eff_left.step_to
+    tol = moves_tolerance(tol, eff_left, move_right)
     h_eff = eff_left.b + move_right.a
     basis = classify_step(eff_left.c, move_right.c, h_eff, tol, step=step)
     rows = []
     if old_basis is not None:
         if old_basis.step != step:
             raise InputError("old basis lives at a different step")
-        for k in range(old_basis.dim):
-            new_label = label_for(old_basis.T[k], eff_left.c, move_right.c, h_eff, tol)
-            old_label = old_basis.labels[k]
+        new = classify_rows(old_basis.T, eff_left.c, move_right.c, h_eff, tol, step=step)
+        for k, (old_label, new_label) in enumerate(zip(old_basis.labels, new.labels)):
             rows.append(ReclassifiedRow(row=k, old_label=old_label, new_label=new_label))
             if old_label == "I" and new_label != "I":
                 raise InternalError(
@@ -170,6 +173,7 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
     """Left fold of compose over all intermediate steps of a sequence."""
     if not (seq.first_step <= from_step < to_step <= seq.last_step):
         raise InputError("step range outside the sequence")
+    tol = moves_tolerance(tol, *seq.moves)
     moves = [m for m in seq.moves if from_step <= m.step_from and m.step_to <= to_step]
     first = moves[0]
     acc = EffectiveMove(first.step_from, first.step_to, first.a, first.b, first.c,
@@ -181,7 +185,9 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
 
 
 def degeneracy_dims(move1, move2, eff: EffectiveMove, tol: float = DEFAULT_TOL) -> dict:
-    """Null-space dimensions of c1, c2, h and the effective c~."""
+    """Null-space dimensions of c1, c2, h and the effective c~, against the
+    scale of the two moves."""
+    tol = moves_tolerance(tol, move1, move2)
     return {
         "c1": right_null_basis(move1.c, tol).dim,
         "c2": right_null_basis(move2.c, tol).dim,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .actions import QuadraticMove
+from .actions import QuadraticMove, moves_tolerance
 from .classify import (
     ClassifiedBasis,
     LEFT_TYPES,
@@ -32,7 +32,7 @@ from .errors import (
     InputError,
     InternalError,
 )
-from .linalg import DEFAULT_TOL, check_regular, numeric_rank
+from .linalg import DEFAULT_TOL, check_regular, numeric_rank, with_scale, zero_cut
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ def observable_block(c_matrix, basis_from, basis_to, tol: float):
 
 def _check_constraints(residuals, rows, basis, kind, data, tol):
     """Raise on the largest violated constraint of one side of the data."""
-    scale = max(np.abs(data.x).max(), np.abs(data.p).max(), 1.0)
-    if residuals.size and np.abs(residuals).max() > tol * data.dim * scale:
+    ref = max(np.abs(data.x).max(), np.abs(data.p).max())
+    if residuals.size and np.abs(residuals).max() > zero_cut(tol, data.dim, ref):
         k = int(np.argmax(np.abs(residuals)))
         raise ConstraintViolationError(
             f"{kind}-constraint on row {rows[k]} ({basis.labels[rows[k]]}) "
@@ -133,6 +133,7 @@ def forward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
     if data.step != move.step_from or data.dim != move.dim:
         raise InputError(f"data at step {data.step} ({data.dim} slots) does not fit a "
                          f"solve from step {move.step_from} ({move.dim} slots)")
+    tol = moves_tolerance(tol, move)
     split_from = split_variables(basis_from, a_next=move.a)
     pre_pi = split_from.pre_pi(data.x, data.p)
     left = basis_from.left_rows
@@ -174,6 +175,7 @@ def backward_solve(move: QuadraticMove, basis_from: ClassifiedBasis,
     This is ``forward_solve`` on the reversed move, bases and data, read back
     under reversal; residuals and free-row labels are the caller's.
     """
+    tol = moves_tolerance(tol, move)
     rev = forward_solve(move.reversed(), basis_to.reversed(), basis_from.reversed(),
                         data.reversed(), free_values, tol, strict=False)
     residuals = -rev.residuals
@@ -204,11 +206,12 @@ def boundary_solve(move1: QuadraticMove, move2: QuadraticMove,
     if x0.shape != (q,) or x2.shape != (q,):
         raise InputError("boundary configurations must match the dimension")
     source = move1.c.T @ x0 + move2.c @ x2
-    scale = max(np.abs(source).max(), np.abs(x0).max(), np.abs(x2).max(), 1.0)
+    tol = moves_tolerance(tol, move1, move2)
+    cut = zero_cut(tol, q, max(np.abs(source).max(), np.abs(x0).max(), np.abs(x2).max()))
     for label in ("z", "l", "r"):
         for k in basis_mid.rows_of(label):
             val = basis_mid.T[k] @ source
-            if abs(val) > tol * q * scale:
+            if abs(val) > cut:
                 kind = {"z": "boundary-data", "l": "holonomic", "r": "holonomic"}[label]
                 raise InconsistentBoundaryError(
                     f"{kind} constraint from row {k} ({label}) violated by {val:.3e}"
@@ -247,20 +250,12 @@ class DofReport:
 
 def variable_roles(basis: ClassifiedBasis) -> tuple:
     """Role assignment of every row at a step per its type label."""
-    roles = []
-    for k, lab in enumerate(basis.labels):
-        roles.append(
-            VariableRole(
-                row=k,
-                label=lab,
-                pre_observable=lab in PRE_OBS_TYPES,
-                post_observable=lab in POST_OBS_TYPES,
-                a_priori_free=lab in RIGHT_TYPES,
-                a_posteriori_free=lab in LEFT_TYPES,
-                gauge=lab == "I",
-            )
-        )
-    return tuple(roles)
+    return tuple(
+        VariableRole(row=k, label=lab, pre_observable=lab in PRE_OBS_TYPES,
+                     post_observable=lab in POST_OBS_TYPES, a_priori_free=lab in RIGHT_TYPES,
+                     a_posteriori_free=lab in LEFT_TYPES, gauge=lab == "I")
+        for k, lab in enumerate(basis.labels)
+    )
 
 
 def dof_report(move1: QuadraticMove, move2: QuadraticMove,
@@ -277,7 +272,7 @@ def dof_report(move1: QuadraticMove, move2: QuadraticMove,
     h = move1.b + move2.a
     q = basis_mid.dim
     cnt = basis_mid.counts
-    m = m_lambda_rho(basis_mid, h, tol)
+    m = m_lambda_rho(basis_mid, h, moves_tolerance(tol, move1, move2))
     if m > min(cnt["lambda"], cnt["rho"]):
         raise InternalError("rank of the lambda-rho block exceeds the type counts")
 
@@ -298,13 +293,8 @@ def dof_report(move1: QuadraticMove, move2: QuadraticMove,
         if len(b_to.post_observable_rows) != len(b_from.pre_observable_rows):
             raise InternalError(f"pre/post observable counts differ across the {which} move")
 
-    counts = {
-        basis_initial.step: basis_initial.counts,
-        basis_mid.step: cnt,
-        basis_final.step: basis_final.counts,
-    }
     return DofReport(
-        counts=counts,
+        counts={b.step: b.counts for b in (basis_initial, basis_mid, basis_final)},
         n_move=n_move,
         n_through=n_through,
         m_lambda_rho=m,
@@ -337,6 +327,7 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
     lambda-rho block.
     """
     h = np.asarray(h, dtype=float)
+    tol = with_scale(tol, h)
     x_split = basis.to_split_config(x)
     k = basis.T @ h @ basis.T.T    # h in split coordinates, read block by block
     rows_h = basis.rows_of("H")

@@ -73,25 +73,20 @@ def move_from_graph(g: StepGraph) -> RaggedMove:
     a = np.zeros((nf, nf))
     b = np.zeros((nt, nt))
     c = np.zeros((nf, nt))
-    for i, j, w in g.intra_from:
-        a[i, i] += w
-        a[j, j] += w
-        a[i, j] -= w
-        a[j, i] -= w
-    for i, j, w in g.intra_to:
-        b[i, i] += w
-        b[j, j] += w
-        b[i, j] -= w
-        b[j, i] -= w
+    for mat, edges in ((a, g.intra_from), (b, g.intra_to)):
+        for i, j, w in edges:
+            mat[i, i] += w
+            mat[j, j] += w
+            mat[i, j] -= w
+            mat[j, i] -= w
     for i, j, w in g.cross:
         a[i, i] += w
         b[j, j] += w
         c[i, j] -= w
     m2 = 0.5 * g.mass**2
-    for i, w in enumerate(g.vertex_weight_from):
-        a[i, i] += m2 * w
-    for j, w in enumerate(g.vertex_weight_to):
-        b[j, j] += m2 * w
+    for mat, weights in ((a, g.vertex_weight_from), (b, g.vertex_weight_to)):
+        for i, w in enumerate(weights):
+            mat[i, i] += m2 * w
     return RaggedMove(g.step_from, g.step_to, a, b, c)
 
 

@@ -1,9 +1,16 @@
 """Deterministic dense linear algebra: ranks, null bases, intersections.
 
-Every other module sits on top of these kernels.  Null spaces of data
-matrices use one relative rank threshold, ``tol * sigma_max * max(shape)``.
-Subspace intersections and differences work from small SVDs of the
-subspaces' orthonormal bases instead of stacked Q x Q projectors.
+Every decision that something is numerically zero is made here, by one
+rule: ``zero_cut`` = ``tol * n * max(ref, scale)`` in dimension n, with ref
+sigma_max for a rank or regularity decision and the residual's reference
+for a membership or residual test.  ``scale`` is the problem scale, the
+largest |entry| of the data: a ``Tolerance`` carries it in place of the
+float ``tol``, built once per sequence or move pair from every a, b and c
+(``actions.moves_tolerance``) or from a call's own matrices
+(``with_scale``).  Round-off of larger data thus has rank 0, never full
+rank (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
+Orthonormal bases are dimensionless: intersections and differences work
+from small SVDs of them instead of stacked Q x Q projectors.
 ``intersect`` decides on the sines of the principal angles (Björck &
 Golub, Math. Comp. 27, 1973; Golub & Van Loan §6.4), with the cut
 ``4 * Q * tol`` in ambient dimension Q.  ``subtract`` takes a small right
@@ -40,8 +47,39 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
+class Tolerance(float):
+    """A float ``tol`` that carries the problem scale it is measured against."""
+
+    __slots__ = ("scale",)
+
+    def __new__(cls, tol: float, scale: float = 0.0):
+        obj = super().__new__(cls, _check_tol(tol))
+        obj.scale = float(scale)
+        return obj
+
+
+def with_scale(tol, *mats) -> Tolerance:
+    """``tol`` against the largest |entry| of ``mats`` (None skipped), unless
+    it is a Tolerance already."""
+    if isinstance(tol, Tolerance):
+        return tol
+    return Tolerance(tol, max((np.abs(m).max() for m in mats if m is not None and np.size(m)),
+                              default=0.0))
+
+
+def zero_cut(tol, n: int, ref=0.0):
+    """The largest value that is numerically zero, elementwise in ``ref``."""
+    return tol * n * np.maximum(ref, getattr(tol, "scale", 0.0))
+
+
+def asymmetry(a: np.ndarray, tol) -> float:
+    """The largest |a - aᵀ| entry, or 0.0 when it is numerically zero."""
+    defect = float(np.abs(a - a.T).max()) if a.size else 0.0
+    return defect if defect > zero_cut(tol, a.shape[0], np.abs(a).max() if a.size else 0.0) else 0.0
+
+
 def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
-    """Rank as the number of singular values above ``tol*sigma_max*max(shape)``.
+    """Rank as the number of singular values above ``zero_cut`` at sigma_max.
 
     The zero matrix has sigma_max = 0 and therefore rank 0.
     """
@@ -50,9 +88,7 @@ def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(a.shape)))
+    return int(np.sum(s > zero_cut(tol, max(a.shape), s[0])))
 
 
 @dataclass(frozen=True)
@@ -133,7 +169,7 @@ def _null_rows(s: np.ndarray, vh: np.ndarray, cut: float) -> np.ndarray:
 def right_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {v : M v = 0}, deterministically ordered.
 
-    Basis vectors are the right singular vectors below the rank threshold,
+    Basis vectors are the right singular vectors below ``zero_cut``,
     sorted by ascending singular value then index, with the sign fixed so
     the largest-magnitude component of each vector is positive.
     """
@@ -145,7 +181,7 @@ def right_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
     if a.shape[0] == 0 or not np.any(a):
         return full_space(n)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cut = tol * (s[0] if s.size else 0.0) * max(a.shape)
+    cut = zero_cut(tol, max(a.shape), s[0] if s.size else 0.0)
     return Subspace(n, _fix_signs(_null_rows(s, vh, cut)).T)
 
 
@@ -228,7 +264,7 @@ def span_of_rows(rows, ambient_dim: int, tol: float = DEFAULT_TOL) -> Subspace:
 
 def check_regular(block, tol: float, what: str) -> None:
     """Raise DegeneracyError, naming ``what``, unless the square ``block`` is
-    invertible beyond tolerance: sigma_min > tol * sigma_max * n.
+    invertible beyond tolerance: sigma_min > ``zero_cut`` at sigma_max.
 
     This is the one regularity rule for the blocks the classification
     promises to be invertible (the alpha block of the Hessian, the observable
@@ -238,7 +274,7 @@ def check_regular(block, tol: float, what: str) -> None:
     if n == 0:
         return
     sv = np.linalg.svd(block, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= tol * sv[0] * n:
+    if sv[-1] <= zero_cut(tol, n, sv[0]):
         raise DegeneracyError(f"{what} is singular beyond tolerance")
 
 
@@ -262,8 +298,7 @@ def restricted_inverse(h, s: Subspace, tol: float = DEFAULT_TOL) -> np.ndarray:
     q = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise InputError("matrix must be square")
-    scale = np.abs(a).max() if a.size else 0.0
-    if scale and np.abs(a - a.T).max() > tol * q * scale:
+    if asymmetry(a, tol):
         raise InputError("matrix must be symmetric")
     if s.ambient_dim != q:
         raise InputError("subspace ambient dimension mismatch")

@@ -10,11 +10,12 @@ reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import QuadraticMove
+from .actions import QuadraticMove, moves_tolerance
 from .classify import ALPHA_TYPES, ClassifiedBasis, hessian_block
 from .constraints import bracket_matrix, independent_count
 from .effective import compose
@@ -24,7 +25,7 @@ from .errors import (
     InputError,
 )
 from .evolution import observable_block
-from .linalg import DEFAULT_TOL, numeric_rank
+from .linalg import DEFAULT_TOL, numeric_rank, zero_cut
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,11 +50,7 @@ class Amplitude:
         return float(np.exp(self.log_modulus))
 
     def times(self, other: "Amplitude") -> "Amplitude":
-        return Amplitude(
-            self.log_modulus + other.log_modulus,
-            self.i_exponent + other.i_exponent,
-            self.phase + other.phase,
-        )
+        return self.times_log(other.log_modulus, other.phase, other.i_exponent)
 
     def times_log(self, log_modulus: float, phase: float = 0.0,
                   i_exponent: int = 0) -> "Amplitude":
@@ -86,8 +83,7 @@ def _check_im_positive(g: np.ndarray, tol: float, what: str):
     im = 0.5 * (g - g.conj().T) / 1j
     im = 0.5 * (im + im.T).real
     vals = np.linalg.eigvalsh(im)
-    scale = max(np.abs(g).max(), 1.0)
-    if vals[0] <= tol * g.shape[0] * scale:
+    if vals[0] <= zero_cut(tol, g.shape[0], np.abs(g).max()):
         raise DivergenceError(
             f"{what}: integral over a flat or growing direction diverges "
             "(double projection or non-normalizable state)"
@@ -238,8 +234,9 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
     if k1.hbar != k2.hbar:
         raise InputError("kernels carry different hbar")
     q = k1.dim_out
+    tol = moves_tolerance(tol, k1.move, k2.move)
     for which, glued in (("first", k1.deltas[:, k1.dim_in:]), ("second", k2.deltas[:, :q])):
-        if glued.size and np.abs(glued).max() > tol:
+        if glued.size and np.abs(glued).max() > zero_cut(tol, q):
             raise InputError(
                 f"a delta factor of the {which} kernel involves the glued step; "
                 "solve it before composing"
@@ -327,14 +324,12 @@ class GaussianState:
 
 def _abelian_or_raise(constraints, tol):
     """The constraints as a list; raises unless every pairwise bracket is
-    below ``tol * Q * max(s_i, s_j, 1)**2`` for coefficient scales s."""
+    zero (``zero_cut``) against max(s_i, s_j)**2 for coefficient scales s."""
     cons = list(constraints)
     if len(cons) < 2:
         return cons
-    scale = np.array([
-        max(np.abs(c.p_coeffs).max(), np.abs(c.x_coeffs).max(), 1.0) for c in cons
-    ])
-    limit = tol * cons[0].p_coeffs.size * np.maximum.outer(scale, scale) ** 2
+    s = np.array([max(np.abs(c.p_coeffs).max(), np.abs(c.x_coeffs).max()) for c in cons])
+    limit = zero_cut(tol, cons[0].p_coeffs.size, np.maximum.outer(s, s) ** 2)
     if np.any(np.abs(bracket_matrix(cons)) > limit):
         raise InputError("projector requires an abelian constraint set")
     return cons
@@ -419,14 +414,14 @@ def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
     c_split = t @ kernel.C
     a_rows = basis.pre_observable_rows
     rest = np.setdiff1d(np.arange(basis.dim), a_rows)
-    scale = max(np.abs(phi).max(), np.abs(j_split).max() if j_split.size else 0.0, 1.0)
+    ref = max(np.abs(phi).max(), np.abs(j_split).max() if j_split.size else 0.0)
     if rest.size:
         leak = max(
             np.abs(phi[rest]).max(),
             np.abs(j_split[rest]).max(),
             np.abs(c_split[rest]).max(),
         )
-        if leak > tol * basis.dim * scale:
+        if leak > zero_cut(tol, basis.dim, ref):
             raise InputError(
                 "state support does not match the pre-observable rows "
                 f"(leakage {leak:.3e} on non-observable rows)"
@@ -471,36 +466,33 @@ def check_annihilation(kernel: GaussianDeltaKernel, constraint, side: str,
                 f"constraint references step {other} which the kernel does not carry"
             )
         far = constraint.x_part_at(other)
+    din, dout, c, b, deltas = kernel.dim_in, kernel.dim_out, kernel.C, kernel.B, kernel.deltas
     if side == "pre":
         # the pre-momentum acts on K as minus the post-momentum acts on the
-        # reversed kernel; the check below works in the reversed columns
-        kernel, p = kernel.reversed(), -p
-
-    din, dout = kernel.dim_in, kernel.dim_out
+        # reversed move; the check below works in the reversed columns
+        din, dout, c, b, p = dout, din, c.T, kernel.A, -p
+        deltas = np.roll(deltas, -kernel.dim_in, axis=1)
     # p-hat K = (grad_out phase) K: C^T x_in + B x_out
     ell = np.zeros(din + dout)
-    ell[:din] += kernel.C @ p
-    ell[din:] += kernel.B @ p + x_own
+    ell[:din] += c @ p
+    ell[din:] += b @ p + x_own
     if far is not None:
         ell[:din] += far
-    p_hits = kernel.deltas[:, din:] @ p if kernel.deltas.shape[0] else np.zeros(0)
+    p_hits = deltas[:, din:] @ p
 
-    scale = max(
-        np.abs(p).max() if p.size else 0.0,
-        np.abs(x_own).max() if x_own.size else 0.0,
-        np.abs(kernel.A).max(), np.abs(kernel.B).max(), np.abs(kernel.C).max(), 1.0,
-    )
-    cut = tol * (din + dout) * scale
+    # p is dimensionless; the residuals are measured against the kernel's
+    # scale and the constraint's own x coefficients
+    tol = moves_tolerance(tol, kernel.move)
+    cut = zero_cut(tol, din + dout, np.abs(x_own).max() if x_own.size else 0.0)
     if p_hits.size and np.abs(p_hits).max() > cut:
         return False
     if np.abs(ell).max() <= cut:
         return True
-    if kernel.deltas.shape[0] == 0:
+    if deltas.shape[0] == 0:
         return False
     # residual of ell against the span of the delta rows
-    sol, *_ = np.linalg.lstsq(kernel.deltas.T, ell, rcond=None)
-    resid = ell - kernel.deltas.T @ sol
-    return bool(np.abs(resid).max() <= cut)
+    sol, *_ = np.linalg.lstsq(deltas.T, ell, rcond=None)
+    return bool(np.abs(ell - deltas.T @ sol).max() <= cut)
 
 
 def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
@@ -519,13 +511,13 @@ def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
         target = _move_measure(kernel.C, basis_from, basis_to, kernel.hbar, tol).log_modulus
     except DegeneracyError:
         return False
-    scale = max(np.abs(kernel.C).max(), 1.0)
+    cut = zero_cut(tol, kernel.dim_in, np.abs(kernel.C).max())
     # pre-constraint rows of the initial step, post-constraint rows of the final
     for block in (basis_from.T[basis_from.left_rows] @ kernel.C,
                   kernel.C @ basis_to.T[basis_to.right_rows].T):
-        if block.size and np.abs(block).max() > tol * kernel.dim_in * scale:
+        if block.size and np.abs(block).max() > cut:
             return False
-    return bool(abs(kernel.log_modulus - target) <= 1e3 * tol * max(abs(target), 1.0))
+    return math.isclose(kernel.log_modulus, target, rel_tol=1e3 * tol, abs_tol=1e3 * tol)
 
 
 def hilbert_dims(constraints, dim: int, tol: float = DEFAULT_TOL) -> int:

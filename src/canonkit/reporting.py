@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from .actions import validate
+from .actions import moves_tolerance, validate
 from .classify import VECTOR_TYPES, classify_sequence
 from .constraints import bracket_table, primary_constraints
 from .effective import (
@@ -87,18 +87,7 @@ def dof_section(seq, bases, step, tol=DEFAULT_TOL):
         "m_lambda_rho": rep.m_lambda_rho,
         "first_class": rep.first_class,
         "second_class": rep.second_class,
-        "roles": [
-            {
-                "row": r.row,
-                "label": r.label,
-                "pre_observable": r.pre_observable,
-                "post_observable": r.post_observable,
-                "a_priori_free": r.a_priori_free,
-                "a_posteriori_free": r.a_posteriori_free,
-                "gauge": r.gauge,
-            }
-            for r in rep.roles
-        ],
+        "roles": [dict(vars(r)) for r in rep.roles],
     }
 
 
@@ -206,11 +195,12 @@ def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
 
 
 def full_report(seq, tol=DEFAULT_TOL, overrides=None):
+    tol = moves_tolerance(tol, *seq.moves)
     bases = classify_sequence(seq, tol, overrides)
     report = {
         "Q": seq.dim,
         "hbar": seq.hbar,
-        "tol": tol,
+        "tol": float(tol),
         "diagnostics": validate(seq, tol),
         "steps": {str(n): classification_report(seq, bases, n) for n in seq.steps},
         "constraints": {str(n): constraints_report(seq, bases, n, tol) for n in seq.steps},
