@@ -16,8 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting, serialize
-from .actions import moves_tolerance
-from .classify import classify_sequence
 from .errors import (
     ConstraintViolationError,
     DegeneracyError,
@@ -52,33 +50,34 @@ def _emit(report, fmt: str, out):
 
 
 def _load(args):
+    """The move sequence, carrying --hbar when given, the tolerance and the overrides."""
     seq = serialize.load_sequence(args.input)
-    overrides = serialize.load_bases(args.basis, seq.dim) if args.basis else None
-    args.tol = moves_tolerance(args.tol, *seq.moves)  # one problem scale per command
-    bases = classify_sequence(seq, args.tol, overrides)
-    return seq, bases
+    if getattr(args, "hbar", None) is not None:
+        seq = dataclasses.replace(seq, hbar=args.hbar)
+    return seq, args.tol, serialize.load_bases(args.basis, seq.dim) if args.basis else None
 
 
 def cmd_classify(args) -> int:
-    seq, bases = _load(args)
-    if args.step not in seq.steps:
+    an = reporting._Analysis(*_load(args))
+    if args.step not in an.seq.steps:
         raise InputError(f"step {args.step} not in sequence")
-    report = reporting.classification_report(seq, bases, args.step)
+    report = reporting.classification_report(an, args.step)
     _emit(report, args.format, args.out)
     return 0
 
 
 def cmd_constraints(args) -> int:
-    seq, bases = _load(args)
-    if args.step not in seq.steps:
+    an = reporting._Analysis(*_load(args))
+    if args.step not in an.seq.steps:
         raise InputError(f"step {args.step} not in sequence")
-    report = reporting.constraints_report(seq, bases, args.step, args.tol)
+    report = reporting.constraints_report(an, args.step)
     _emit({"constraints": {str(args.step): report}}, args.format, args.out)
     return 0
 
 
 def cmd_evolve(args) -> int:
-    seq, bases = _load(args)
+    an = reporting._Analysis(*_load(args))
+    seq, bases = an.seq, an.bases
     step, x, p, side = serialize.load_canonical_data(args.data, seq.dim)
     free = serialize.load_free_values(args.free) if args.free else None
     data = CanonicalData(step, x, p, side)
@@ -86,12 +85,12 @@ def cmd_evolve(args) -> int:
         move = seq.move_out_of(step)
         if move is None:
             raise InputError(f"no move leaves step {step}")
-        res = forward_solve(move, bases[step], bases[step + 1], data, free, args.tol)
+        res = forward_solve(move, bases[step], bases[step + 1], data, free, an.tol)
     else:
         move = seq.move_into(step)
         if move is None:
             raise InputError(f"no move arrives at step {step}")
-        res = backward_solve(move, bases[step - 1], bases[step], data, free, args.tol)
+        res = backward_solve(move, bases[step - 1], bases[step], data, free, an.tol)
     out = res.data
     report = {
         "step": out.step,
@@ -118,19 +117,17 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    seq, bases = _load(args)
-    report = reporting.effective_section(seq, bases, args.from_step, args.to_step, args.tol)
+    an = reporting._Analysis(*_load(args))
+    report = reporting.effective_section(an, args.from_step, args.to_step)
     _emit({"effective": report}, args.format, args.out)
     return 0
 
 
 def cmd_quantum(args) -> int:
-    seq, bases = _load(args)
-    if args.hbar is not None:
-        seq = dataclasses.replace(seq, hbar=args.hbar)
+    an = reporting._Analysis(*_load(args))
     section = (reporting.quantum_section if args.quantum_action == "compose"
                else reporting.propagator_section)
-    report = section(seq, bases, args.from_step, args.to_step, args.tol)
+    report = section(an, args.from_step, args.to_step)
     _emit({"quantum": report}, args.format, args.out)
     return 0
 
@@ -152,9 +149,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_report(args) -> int:
-    seq = serialize.load_sequence(args.input)
-    overrides = serialize.load_bases(args.basis, seq.dim) if args.basis else None
-    report = reporting.full_report(seq, args.tol, overrides)
+    report = reporting.full_report(*_load(args))
     _emit(report, args.format, args.out)
     return 0
 

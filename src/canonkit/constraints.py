@@ -8,7 +8,7 @@ L, R then brackets to L·h·R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class LinearConstraint:
     x_coeffs: np.ndarray
     x_coeffs_other: np.ndarray = None
     source_type: str = ""
-    constraint_class: str = "unresolved"
     trivial: bool = False
     multiplier_terms: tuple = ()
 
@@ -128,12 +127,6 @@ class BracketTable:
     @property
     def all_first_class(self) -> bool:
         return all(tag == "first" for tag in self.class_split)
-
-    def tagged_constraints(self) -> tuple:
-        return tuple(
-            replace(c, constraint_class=tag)
-            for c, tag in zip(self.constraints, self.class_split)
-        )
 
 
 def bracket_matrix(constraints) -> np.ndarray:

@@ -43,10 +43,15 @@ class MultiplierRecord:
 @dataclass(frozen=True)
 class EffectiveMove(QuadraticMove):
     """A composed move S~(x_from, x_to), itself a quadratic move, plus the
-    multiplier records it generated."""
+    multiplier records it generated and the bases it was glued at."""
 
     multipliers: tuple = ()
-    provenance: tuple = ()    # step labels of the composed chain
+    glued_bases: tuple = ()   # one ClassifiedBasis per eliminated step, in step order
+
+    @property
+    def provenance(self) -> tuple:
+        """Step labels of the composed chain."""
+        return (self.step_from, *(b.step for b in self.glued_bases), self.step_to)
 
 
 def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) -> EffectiveMove:
@@ -70,9 +75,7 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
                              row=basis_mid.T[k], constraint=con)
             for k, con in zip(rows, secondary_constraints(move1, move2, basis_mid, tol))
         )
-    # a plain move carries no multipliers and spans its own two steps
-    prov1 = getattr(move1, "provenance", (move1.step_from, move1.step_to))
-    prov2 = getattr(move2, "provenance", (move2.step_from, move2.step_to))
+    # a plain move carries no multipliers and glued no step
     c1, c2 = move1.c, move2.c
     return EffectiveMove(
         move1.step_from,
@@ -82,7 +85,8 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
         -c1 @ h_plus @ c2,
         multipliers=(getattr(move1, "multipliers", ()) + getattr(move2, "multipliers", ())
                      + new_mult),
-        provenance=tuple(dict.fromkeys(prov1 + prov2)),
+        glued_bases=(getattr(move1, "glued_bases", ()) + (basis_mid,)
+                     + getattr(move2, "glued_bases", ())),
     )
 
 
@@ -170,14 +174,14 @@ def reclassify_onshell(eff_left, move_right, tol: float = DEFAULT_TOL,
 
 def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
                   tol: float = DEFAULT_TOL) -> EffectiveMove:
-    """Left fold of compose over all intermediate steps of a sequence."""
+    """Left fold of compose over all intermediate steps of a sequence; each
+    step is classified against the data composed so far (``glued_bases``)."""
     if not (seq.first_step <= from_step < to_step <= seq.last_step):
         raise InputError("step range outside the sequence")
     tol = moves_tolerance(tol, *seq.moves)
     moves = [m for m in seq.moves if from_step <= m.step_from and m.step_to <= to_step]
     first = moves[0]
-    acc = EffectiveMove(first.step_from, first.step_to, first.a, first.b, first.c,
-                        provenance=(first.step_from, first.step_to))
+    acc = EffectiveMove(first.step_from, first.step_to, first.a, first.b, first.c)
     for nxt in moves[1:]:
         basis = classify_step(acc.c, nxt.c, acc.b + nxt.a, tol, step=nxt.step_from)
         acc = compose(acc, nxt, basis, tol)

@@ -25,7 +25,7 @@ from .errors import (
     InputError,
 )
 from .evolution import observable_block
-from .linalg import DEFAULT_TOL, numeric_rank, zero_cut
+from .linalg import DEFAULT_TOL, asymmetry, numeric_rank, zero_cut
 
 TWO_PI = 2.0 * np.pi
 
@@ -304,7 +304,7 @@ class GaussianState:
         j = np.asarray(self.j, dtype=complex)
         if m.shape[0] != m.shape[1] or j.shape != (m.shape[0],):
             raise InputError("M must be square and j a matching vector")
-        if np.abs(m - m.T).max() > 1e-12 * max(np.abs(m).max(), 1.0):
+        if asymmetry(m, DEFAULT_TOL):
             raise InputError("M must be (complex) symmetric")
         if not 0 < self.hbar < np.inf:
             raise InputError("hbar must be positive and finite")

@@ -1,5 +1,7 @@
 """Analysis reports: plain-dict structures that serialize losslessly to JSON
-and render as text tables."""
+and render as text tables.  Every report reads one ``_Analysis``: the
+sequence's Tolerance and bases are built once, each step range is composed
+once, and the quantum fold glues later steps where ``chain_compose`` did."""
 
 from __future__ import annotations
 
@@ -24,16 +26,24 @@ from .quantum import compose_kernels, hilbert_dims, normalized_measure, propagat
 from .serialize import dumps_indented
 
 
-def _vec(v):
-    return np.asarray(v, dtype=float).ravel().tolist()
+class _Analysis:
+    """A sequence with its Tolerance and classified bases, and each composed range."""
+
+    def __init__(self, seq, tol=DEFAULT_TOL, overrides=None):
+        self.seq, self.tol = seq, moves_tolerance(tol, *seq.moves)
+        self.bases = classify_sequence(seq, self.tol, overrides)
+        self._ranges = {}
+
+    def composed(self, from_step, to_step):
+        """The range's effective move and its outer bases, built on first use."""
+        if (from_step, to_step) not in self._ranges:
+            eff = chain_compose(self.seq, from_step, to_step, self.tol)
+            self._ranges[from_step, to_step] = eff, effective_outer_bases(eff, self.tol)
+        return self._ranges[from_step, to_step]
 
 
-def _mat(m):
-    return np.asarray(m, dtype=float).tolist()
-
-
-def classification_report(seq, bases, step):
-    basis = bases[step]
+def classification_report(an, step):
+    basis = an.bases[step]
     return {
         "step": step,
         "counts": {t: basis.counts[t] for t in VECTOR_TYPES},
@@ -42,43 +52,44 @@ def classification_report(seq, bases, step):
     }
 
 
-def constraint_entry(c):
+def constraint_entry(c, constraint_class="unresolved"):
     entry = {
         "step": list(c.steps) if len(c.steps) == 2 else c.steps[0],
         "kind": c.kind,
         "source_type": c.source_type,
-        "class": c.constraint_class,
-        "p_coeffs": _vec(c.p_coeffs),
-        "x_coeffs": _vec(c.x_coeffs),
+        "class": constraint_class,
+        "p_coeffs": c.p_coeffs.tolist(),
+        "x_coeffs": c.x_coeffs.tolist(),
         "trivial": bool(c.trivial),
     }
     if c.x_coeffs_other is not None:
-        entry["x_coeffs_other"] = _vec(c.x_coeffs_other)
+        entry["x_coeffs_other"] = c.x_coeffs_other.tolist()
     if c.multiplier_terms:
         entry["multiplier_terms"] = [[name, float(v)] for name, v in c.multiplier_terms]
     return entry
 
 
-def constraints_report(seq, bases, step, tol=DEFAULT_TOL):
-    m_in = seq.move_into(step)
-    m_out = seq.move_out_of(step)
-    cons = primary_constraints(m_in, m_out, bases[step])
-    table = bracket_table(cons, seq.hessian(step), bases[step], tol)
+def constraints_report(an, step):
+    seq, basis = an.seq, an.bases[step]
+    cons = primary_constraints(seq.move_into(step), seq.move_out_of(step), basis)
+    table = bracket_table(cons, seq.hessian(step), basis, an.tol)
     return {
         "step": step,
-        "constraints": [constraint_entry(c) for c in table.tagged_constraints()],
-        "brackets": _mat(table.brackets),
+        "constraints": [constraint_entry(c, tag)
+                        for c, tag in zip(table.constraints, table.class_split)],
+        "brackets": table.brackets.tolist(),
         "m_lambda_rho": table.m_lambda_rho,
         "all_first_class": bool(table.all_first_class),
     }
 
 
-def dof_section(seq, bases, step, tol=DEFAULT_TOL):
-    m_in = seq.move_into(step)
-    m_out = seq.move_out_of(step)
+def dof_section(an, step):
+    m_in = an.seq.move_into(step)
+    m_out = an.seq.move_out_of(step)
     if m_in is None or m_out is None:
         raise InputError(f"step {step} needs moves on both sides for a dof report")
-    rep = dof_report(m_in, m_out, bases[step - 1], bases[step], bases[step + 1], tol)
+    bases = an.bases
+    rep = dof_report(m_in, m_out, bases[step - 1], bases[step], bases[step + 1], an.tol)
     return {
         "middle_step": step,
         "counts": {str(k): v for k, v in rep.counts.items()},
@@ -91,28 +102,27 @@ def dof_section(seq, bases, step, tol=DEFAULT_TOL):
     }
 
 
-def effective_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
-    eff = chain_compose(seq, from_step, to_step, tol)
-    m_first = seq.move_out_of(from_step)
-    m_last = seq.move_into(to_step)
-    dims = degeneracy_dims(m_first, m_last, eff, tol) if to_step == from_step + 2 else None
-    b_from, b_to = effective_outer_bases(eff, tol)
-    cons = effective_constraints(eff, b_from, b_to, tol)
+def effective_section(an, from_step, to_step):
+    eff, (b_from, b_to) = an.composed(from_step, to_step)
+    m_first = an.seq.move_out_of(from_step)
+    m_last = an.seq.move_into(to_step)
+    dims = degeneracy_dims(m_first, m_last, eff, an.tol) if to_step == from_step + 2 else None
+    cons = effective_constraints(eff, b_from, b_to, an.tol)
     section = {
         "from": from_step,
         "to": to_step,
-        "a_eff": _mat(eff.a),
-        "b_eff": _mat(eff.b),
-        "c_eff": _mat(eff.c),
+        "a_eff": eff.a.tolist(),
+        "b_eff": eff.b.tolist(),
+        "c_eff": eff.c.tolist(),
         "multipliers": [
-            {"type": rec.source_type, "step": rec.step, "row": _vec(rec.row)}
+            {"type": rec.source_type, "step": rec.step, "row": rec.row.tolist()}
             for rec in eff.multipliers
         ],
         "constraints": [constraint_entry(c) for c in cons],
     }
     if dims is not None:
         section["degeneracy_dims"] = dims
-        count_monotonicity_check(m_first, m_last, eff, tol)
+        count_monotonicity_check(m_first, m_last, eff, an.tol)
         section["monotonicity_ok"] = True
     return section
 
@@ -128,10 +138,10 @@ def kernel_summary(kernel):
         "continuous_phase": float(kernel.continuous_phase),
         "delta_count": int(kernel.deltas.shape[0]),
         "delta_labels": list(kernel.delta_labels),
-        "A": _mat(kernel.A),
-        "B": _mat(kernel.B),
-        "C": _mat(kernel.C),
-        "deltas": _mat(kernel.deltas),
+        "A": kernel.A.tolist(),
+        "B": kernel.B.tolist(),
+        "C": kernel.C.tolist(),
+        "deltas": kernel.deltas.tolist(),
     }
 
 
@@ -141,17 +151,17 @@ def _hilbert_pair(move, b_from, b_to, tol):
             "post": hilbert_dims(primary_constraints(move, None, b_to), move.dim, tol)}
 
 
-def _move_kernels(seq, bases, from_step, to_step, tol):
+def _move_kernels(an, from_step, to_step):
     """Propagator and pre/post Hilbert dimensions of every move in range."""
     kernels = {}
     move_dims = {}
-    for m in seq.moves:
+    for m in an.seq.moves:
         if from_step <= m.step_from and m.step_to <= to_step:
-            b_from, b_to = bases[m.step_from], bases[m.step_to]
+            b_from, b_to = an.bases[m.step_from], an.bases[m.step_to]
             kernels[(m.step_from, m.step_to)] = propagator_from_move(
-                m, b_from, b_to, hbar=seq.hbar, tol=tol
+                m, b_from, b_to, hbar=an.seq.hbar, tol=an.tol
             )
-            move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(m, b_from, b_to, tol)
+            move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(m, b_from, b_to, an.tol)
     if not kernels:
         raise InputError(f"no moves between steps {from_step} and {to_step}")
     return kernels, move_dims
@@ -161,61 +171,51 @@ def _kernel_summaries(kernels):
     return {f"{a}->{b}": kernel_summary(k) for (a, b), k in kernels.items()}
 
 
-def propagator_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
+def propagator_section(an, from_step, to_step):
     """Per-move propagators and Hilbert dimensions; nothing is composed."""
-    kernels, move_dims = _move_kernels(seq, bases, from_step, to_step, tol)
+    kernels, move_dims = _move_kernels(an, from_step, to_step)
     return {"moves": _kernel_summaries(kernels), "hilbert_dims": move_dims}
 
 
-def quantum_section(seq, bases, from_step, to_step, tol=DEFAULT_TOL):
-    kernels, move_dims = _move_kernels(seq, bases, from_step, to_step, tol)
+def quantum_section(an, from_step, to_step):
+    kernels, move_dims = _move_kernels(an, from_step, to_step)
     keys = sorted(kernels)
-    composed = kernels[keys[0]]
-    for key in keys[1:]:
-        composed = compose_kernels(composed, kernels[key], bases[key[0]], tol)
-    section = {
-        "moves": _kernel_summaries(kernels),
-        "composed": kernel_summary(composed),
-        "hilbert_dims": move_dims,
-    }
+    composed, fixed = kernels[keys[0]], {}
     if len(keys) > 1:
+        eff, (b_from, b_to) = an.composed(keys[0][0], keys[-1][1])
+        # the first step is glued at the sequence basis, each later one at the
+        # basis chain_compose classified against the composed data
+        for key, mid in zip(keys[1:], (an.bases[keys[0][1]],) + eff.glued_bases[1:]):
+            composed = compose_kernels(composed, kernels[key], mid, an.tol)
         # the composed move's own classification of its outer steps
-        b_from, b_to = effective_outer_bases(composed.move, tol)
-        section["hilbert_dims"][f"{from_step}->{to_step}"] = _hilbert_pair(
-            composed.move, b_from, b_to, tol)
+        move_dims[f"{from_step}->{to_step}"] = _hilbert_pair(composed.move, b_from, b_to, an.tol)
         # the raw composed amplitude is reported on the kernel itself; the
         # re-derived fixed measure of the composed move sits next to it
-        fixed = normalized_measure(composed, b_from, b_to)
-        section["composed"]["fixed_measure"] = {
-            "log_modulus": float(fixed.log_modulus),
-            "modulus": float(fixed.modulus),
-            "i_exponent": int(fixed.i_exponent),
-        }
-    return section
+        amp = normalized_measure(composed, b_from, b_to)
+        fixed = {"fixed_measure": {"log_modulus": float(amp.log_modulus),
+                                   "modulus": float(amp.modulus),
+                                   "i_exponent": int(amp.i_exponent)}}
+    return {"moves": _kernel_summaries(kernels), "composed": {**kernel_summary(composed), **fixed},
+            "hilbert_dims": move_dims}
 
 
 def full_report(seq, tol=DEFAULT_TOL, overrides=None):
-    tol = moves_tolerance(tol, *seq.moves)
-    bases = classify_sequence(seq, tol, overrides)
+    an = _Analysis(seq, tol, overrides)
     report = {
         "Q": seq.dim,
         "hbar": seq.hbar,
-        "tol": float(tol),
-        "diagnostics": validate(seq, tol),
-        "steps": {str(n): classification_report(seq, bases, n) for n in seq.steps},
-        "constraints": {str(n): constraints_report(seq, bases, n, tol) for n in seq.steps},
+        "tol": float(an.tol),
+        "diagnostics": validate(seq, an.tol),
+        "steps": {str(n): classification_report(an, n) for n in seq.steps},
+        "constraints": {str(n): constraints_report(an, n) for n in seq.steps},
     }
     inner = [n for n in seq.steps if seq.move_into(n) and seq.move_out_of(n)]
-    report["dof"] = {str(n): dof_section(seq, bases, n, tol) for n in inner}
+    report["dof"] = {str(n): dof_section(an, n) for n in inner}
     if len(seq.moves) >= 2:
-        report["effective"] = effective_section(
-            seq, bases, seq.first_step, seq.first_step + 2, tol
-        )
-        report["quantum"] = quantum_section(
-            seq, bases, seq.first_step, seq.first_step + 2, tol
-        )
+        report["effective"] = effective_section(an, seq.first_step, seq.first_step + 2)
+        report["quantum"] = quantum_section(an, seq.first_step, seq.first_step + 2)
     else:
-        report["quantum"] = quantum_section(seq, bases, seq.first_step, seq.last_step, tol)
+        report["quantum"] = quantum_section(an, seq.first_step, seq.last_step)
     return report
 
 
