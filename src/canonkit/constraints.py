@@ -150,10 +150,10 @@ def bracket_table(constraints, h, basis: ClassifiedBasis, tol: float = DEFAULT_T
     Constraints that all live at one step are bracketed by ``bracket_matrix``;
     sets with boundary-data or mixed-step constraints go pair by pair through
     ``poisson_bracket``.  A plain float ``tol`` is measured against the
-    scale of ``h``, or of the table when ``h`` is None.
+    scale of ``h``, or of the largest |x coefficient| when ``h`` is None.
     """
-    tol = with_scale(tol, h)
     constraints = tuple(constraints)
+    tol = with_scale(tol, h) if h is not None else with_scale(tol, *_x_parts(constraints))
     n = len(constraints)
     steps = [c.step for c in constraints]
     if not any(isinstance(s, (tuple, list)) for s in steps) and len(set(steps)) <= 1:
@@ -216,20 +216,27 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
     return out
 
 
+def _x_parts(constraints):
+    """Every configuration coefficient vector of a set, near and far step."""
+    return [x for c in constraints for x in (c.x_coeffs, c.x_coeffs_other) if x is not None]
+
+
 def independent_count(constraints, tol: float = DEFAULT_TOL) -> int:
     """Number of linearly independent constraint functionals.
 
     Each row is (p, x), plus the far-step x columns when some constraint
-    has them; rows without a far-step part are zero there.
+    has them; rows without a far-step part are zero there.  p is
+    dimensionless and x carries the problem scale (the Tolerance's, or the
+    largest |x coefficient| for a plain float), so x is ranked as x/scale.
     """
     constraints = list(constraints)
     if not constraints:
         return 0
-    rows = [np.concatenate([c.p_coeffs, c.x_coeffs]
-                           + ([] if c.x_coeffs_other is None else [c.x_coeffs_other]))
-            for c in constraints]
+    rows = [np.concatenate([c.p_coeffs, *_x_parts([c])]) for c in constraints]
     # zeros, then fill: a vstack raised peak RSS ~8 MB via glibc's mmap threshold
     stack = np.zeros((len(rows), max(r.size for r in rows)))
     for k, r in enumerate(rows):
         stack[k, : r.size] = r
-    return numeric_rank(stack, tol)
+    x = stack[:, constraints[0].p_coeffs.size:]
+    x /= with_scale(tol, x).scale or 1.0
+    return numeric_rank(stack, float(tol))

@@ -161,9 +161,7 @@ class GaussianDeltaKernel:
         return self.amplitude.phase
 
     def phase_quadratic(self, x_in, x_out) -> float:
-        x0 = np.asarray(x_in, float)
-        x1 = np.asarray(x_out, float)
-        return float(0.5 * x0 @ self.A @ x0 + x0 @ self.C @ x1 + 0.5 * x1 @ self.B @ x1)
+        return self.move.action(x_in, x_out)
 
     def smooth_value(self, x_in, x_out) -> complex:
         """Kernel value with the delta factors stripped."""

@@ -22,7 +22,7 @@ from .effective import (
 from .errors import InputError
 from .evolution import dof_report
 from .linalg import DEFAULT_TOL
-from .quantum import compose_kernels, hilbert_dims, normalized_measure, propagator_from_move
+from .quantum import compose_kernels, normalized_measure, propagator_from_move
 from .serialize import dumps_indented
 
 
@@ -145,23 +145,20 @@ def kernel_summary(kernel):
     }
 
 
-def _hilbert_pair(move, b_from, b_to, tol):
-    """Pre and post Hilbert dimensions of one move."""
-    return {"pre": hilbert_dims(primary_constraints(None, move, b_from), move.dim, tol),
-            "post": hilbert_dims(primary_constraints(move, None, b_to), move.dim, tol)}
+def _hilbert_pair(b_from, b_to):
+    """Pre and post Hilbert dimensions of one move: its observable-row counts."""
+    return {"pre": len(b_from.pre_observable_rows), "post": len(b_to.post_observable_rows)}
 
 
 def _move_kernels(an, from_step, to_step):
     """Propagator and pre/post Hilbert dimensions of every move in range."""
-    kernels = {}
-    move_dims = {}
+    kernels, move_dims = {}, {}
     for m in an.seq.moves:
         if from_step <= m.step_from and m.step_to <= to_step:
             b_from, b_to = an.bases[m.step_from], an.bases[m.step_to]
-            kernels[(m.step_from, m.step_to)] = propagator_from_move(
-                m, b_from, b_to, hbar=an.seq.hbar, tol=an.tol
-            )
-            move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(m, b_from, b_to, an.tol)
+            kernels[m.step_from, m.step_to] = propagator_from_move(m, b_from, b_to,
+                                                                  hbar=an.seq.hbar, tol=an.tol)
+            move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(b_from, b_to)
     if not kernels:
         raise InputError(f"no moves between steps {from_step} and {to_step}")
     return kernels, move_dims
@@ -188,7 +185,7 @@ def quantum_section(an, from_step, to_step):
         for key, mid in zip(keys[1:], (an.bases[keys[0][1]],) + eff.glued_bases[1:]):
             composed = compose_kernels(composed, kernels[key], mid, an.tol)
         # the composed move's own classification of its outer steps
-        move_dims[f"{from_step}->{to_step}"] = _hilbert_pair(composed.move, b_from, b_to, an.tol)
+        move_dims[f"{from_step}->{to_step}"] = _hilbert_pair(b_from, b_to)
         # the raw composed amplitude is reported on the kernel itself; the
         # re-derived fixed measure of the composed move sits next to it
         amp = normalized_measure(composed, b_from, b_to)

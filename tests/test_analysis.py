@@ -18,7 +18,9 @@ from numpy.testing import assert_allclose
 from helpers import designed_instance, regular_move
 
 import canonkit.classify
+import canonkit.constraints
 import canonkit.effective
+import canonkit.quantum
 from canonkit import reporting, serialize
 from canonkit.actions import MoveSequence, QuadraticMove
 from canonkit.cli import main
@@ -100,6 +102,17 @@ def test_full_report_classifies_each_step_and_range_once(monkeypatch, n_steps):
     # every step, the glued step of the reported range, its two outer steps
     assert counts["effective_outer_bases"] == 1
     assert counts["classify_step"] <= len(seq.steps) + 3
+
+
+def test_full_report_reads_hilbert_dims_off_the_bases(monkeypatch):
+    seq = expanding_square_sequence(16, mass=0.5).sequence
+    counts = _count_calls(monkeypatch, canonkit.quantum.hilbert_dims,
+                          canonkit.constraints.primary_constraints)
+    reporting.full_report(seq)
+    assert counts["hilbert_dims"] == 0
+    # one set per step, and the effective move's pre and post sets
+    assert counts["primary_constraints"] == len(seq.steps) + 2
+    assert not hasattr(reporting, "hilbert_dims")
 
 
 def test_quantum_compose_shares_the_glued_bases(tmp_path, capsys, monkeypatch):

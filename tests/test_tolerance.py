@@ -45,7 +45,7 @@ from canonkit.linalg import (
     with_scale,
     zero_cut,
 )
-from canonkit.quantum import check_annihilation, compose_kernels, propagator_from_move
+from canonkit.quantum import check_annihilation, compose_kernels, hilbert_dims, propagator_from_move
 from canonkit.reporting import full_report
 
 EVERY_TYPE = {t: 2 for t in VECTOR_TYPES}
@@ -294,3 +294,50 @@ def test_primary_constraints_annihilate_the_kernels(sizes, seed, kind):
             assert check_annihilation(kernel, con, "pre")
         for con in primary_constraints(move, None, b_to):
             assert check_annihilation(kernel, con, "post")
+
+
+@INVARIANTS
+@given(sizes_strategy, seeds, kinds, st.integers(min_value=0, max_value=3))
+def test_primary_constraint_ranks_give_the_observable_counts(sizes, seed, kind, pad):
+    # zero-padded slots give constraint rows with no x part; ranked next to
+    # x at scale 1e8, not on x/scale, they read as round-off
+    m1, m2 = _padded(*transformed(sizes, seed, kind)[:2], pad)
+    pair_tol = moves_tolerance(DEFAULT_TOL, m1, m2)
+    b0 = classify_step(None, m1.c, m1.a, pair_tol, step=0)
+    b1 = classify_step(m1.c, m2.c, m1.b + m2.a, pair_tol, step=1)
+    b2 = classify_step(m2.c, None, m2.b, pair_tol, step=2)
+    for tol in (DEFAULT_TOL, pair_tol):
+        for move, b_from, b_to in ((m1, b0, b1), (m2, b1, b2)):
+            pre = primary_constraints(None, move, b_from)
+            post = primary_constraints(move, None, b_to)
+            assert hilbert_dims(pre, move.dim, tol) == len(b_from.pre_observable_rows)
+            assert hilbert_dims(post, move.dim, tol) == len(b_to.post_observable_rows)
+
+
+# -- Hilbert dimensions and brackets measure p and x in their own units -----------
+
+
+@pytest.mark.parametrize("n_steps", [3, 4])
+@pytest.mark.parametrize("scale", [1e8, 1e-8])
+def test_scaled_square_report_keeps_its_hilbert_dims(n_steps, scale):
+    seq = expanding_square_sequence(n_steps, mass=0.5).sequence
+    scaled = MoveSequence(seq.dim, tuple(m.scaled(scale) for m in seq.moves), hbar=seq.hbar)
+    assert (full_report(scaled)["quantum"]["hilbert_dims"]
+            == full_report(seq)["quantum"]["hilbert_dims"])
+
+
+def test_bracket_table_without_h_splits_as_with_h():
+    # without h a plain float tol is measured against the largest |x
+    # coefficient|, never against the table's own round-off
+    m1, m2 = designed_instance(np.random.default_rng(3),
+                               {"I": 2, "l": 2, "lambda": 2, "r": 1, "z": 1, "gamma": 2})
+    h = m1.b + m2.a
+    basis = classify_step(m1.c, m2.c, h, step=1)
+    cases = [(primary_constraints(m1, m2, basis), h, basis)]
+    seq = expanding_square_sequence(4, mass=0.5).sequence
+    bases = classify_sequence(seq)
+    cases += [(primary_constraints(seq.move_into(n), seq.move_out_of(n), bases[n]),
+               seq.hessian(n), bases[n]) for n in (2, 3, 4)]
+    for cons, h, basis in cases:
+        want = bracket_table(cons, h, basis).class_split
+        assert bracket_table(cons, None, basis).class_split == want
