@@ -152,19 +152,45 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     side).  The basis follows the staged maximal-independence procedure:
     I first, then H/l/r, then lambda/rho, then z, then gamma; each group is
     internally orthonormal.
+
+    Only the active block is classified.  A slot is active when c_prev's
+    column, c_next's row or h's row or column at it has a nonzero entry.
+    Any other slot, such as a zero-padded slot of a varying discretization,
+    lies in all three null spaces: it is type I, and its unit row follows
+    the active I rows, in slot order.  The block drops the exactly-zero
+    rows of c_prev and columns of c_next, which leaves its null spaces
+    unchanged.  Every rank cut is taken in the block's own dimension (the
+    scale still comes from the full matrices), so a zero-padded problem
+    makes the decisions of its unpadded original.
     """
     h = as_matrix(h)
     q = h.shape[0]
     if h.shape != (q, q):
         raise InputError("Hessian dimension mismatch")
+    c_prev = None if c_prev is None else as_matrix(c_prev)
+    c_next = None if c_next is None else as_matrix(c_next)
+    if ((c_prev is not None and c_prev.shape[1] != q)
+            or (c_next is not None and c_next.shape[0] != q)):
+        raise InputError("cross-matrix dimensions do not match the Hessian")
     tol = with_scale(tol, c_prev, c_next, h)
     if asymmetry(h, tol):
         raise InputError("Hessian must be symmetric")
-    right = full_space(q) if c_prev is None else right_null_basis(c_prev, tol)
-    left = full_space(q) if c_next is None else left_null_basis(c_next, tol)
-    hnull = right_null_basis(h, tol)
-    if right.ambient_dim != q or left.ambient_dim != q:
-        raise InputError("cross-matrix dimensions do not match the Hessian")
+
+    used = h != 0
+    active = used.any(axis=0) | used.any(axis=1)
+    if c_prev is not None:
+        used = c_prev != 0
+        active |= used.any(axis=0)
+        c_prev = c_prev[used.any(axis=1)]
+    if c_next is not None:
+        used = c_next != 0
+        active |= used.any(axis=1)
+        c_next = c_next[:, used.any(axis=0)]
+    slots = np.flatnonzero(active)
+    k = slots.size
+    right = full_space(k) if c_prev is None else right_null_basis(c_prev[:, slots], tol)
+    left = full_space(k) if c_next is None else left_null_basis(c_next[slots], tol)
+    hnull = right_null_basis(h[np.ix_(slots, slots)], tol)
 
     two_sided = intersect(right, left, tol)
     grp = {}
@@ -176,22 +202,26 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     grp["rho"] = subtract(right, grp["I"], grp["H"], grp["r"], tol=tol)
     grp["z"] = subtract(hnull, grp["I"], grp["l"], grp["r"], tol=tol)
     chosen = [grp[t] for t in ("I", "H", "l", "lambda", "r", "rho", "z")]
-    grp["gamma"] = subtract(full_space(q), *chosen, tol=tol)
+    grp["gamma"] = subtract(full_space(k), *chosen, tol=tol)
 
-    labels = tuple(t for t in VECTOR_TYPES for _ in range(grp[t].dim))
-    if len(labels) != q:
-        raise DegeneracyError(
-            f"step {step}: classification produced {len(labels)} of {q} basis vectors"
-        )
-    t_matrix = np.vstack([grp[t].basis.T for t in VECTOR_TYPES])
-    # T is dimensionless: its rank is not measured against the problem scale
-    if numeric_rank(t_matrix, float(tol)) < q:
-        raise DegeneracyError(f"step {step}: classified basis is numerically singular")
     c = {t: grp[t].dim for t in VECTOR_TYPES}
+    if sum(c.values()) != k:
+        raise DegeneracyError(f"step {step}: classification produced {sum(c.values())} "
+                              f"of {k} basis vectors on the active slots")
+    t_block = np.vstack([grp[t].basis.T for t in VECTOR_TYPES])
+    # T is dimensionless: its rank is not measured against the problem scale.
+    # The full T is [t_block, 0; 0, 1] up to a permutation, so the block decides
+    if numeric_rank(t_block, float(tol)) < k:
+        raise DegeneracyError(f"step {step}: classified basis is numerically singular")
     if (c["I"] + c["H"] + c["l"] + c["lambda"] != left.dim
             or c["I"] + c["H"] + c["r"] + c["rho"] != right.dim
             or c["I"] + c["l"] + c["r"] + c["z"] != hnull.dim):
         raise DegeneracyError("group dimensions inconsistent with null spaces")
+    rows = np.zeros((k, q))
+    rows[:, slots] = t_block
+    t_matrix = np.vstack([rows[:c["I"]], np.eye(q)[~active], rows[c["I"]:]])
+    c["I"] += q - k
+    labels = tuple(t for t in VECTOR_TYPES for _ in range(c[t]))
     return ClassifiedBasis(step=step, T=t_matrix, labels=labels, tol=tol)
 
 

@@ -20,7 +20,7 @@ from .actions import MoveSequence, QuadraticMove, moves_tolerance
 from .classify import ClassifiedBasis, classify_rows, classify_step
 from .constraints import LinearConstraint, primary_constraints, secondary_constraints
 from .errors import InputError, InternalError
-from .linalg import DEFAULT_TOL, right_null_basis, zero_cut
+from .linalg import DEFAULT_TOL, numeric_rank, zero_cut
 
 Q_TYPES = ("l", "r", "z")
 
@@ -190,14 +190,11 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
 
 def degeneracy_dims(move1, move2, eff: EffectiveMove, tol: float = DEFAULT_TOL) -> dict:
     """Null-space dimensions of c1, c2, h and the effective c~, against the
-    scale of the two moves."""
+    scale of the two moves: each is n - rank, cut as ``right_null_basis``
+    cuts, without computing the null vectors."""
     tol = moves_tolerance(tol, move1, move2)
-    return {
-        "c1": right_null_basis(move1.c, tol).dim,
-        "c2": right_null_basis(move2.c, tol).dim,
-        "h": right_null_basis(move1.b + move2.a, tol).dim,
-        "c_eff": right_null_basis(eff.c, tol).dim,
-    }
+    mats = {"c1": move1.c, "c2": move2.c, "h": move1.b + move2.a, "c_eff": eff.c}
+    return {name: m.shape[1] - numeric_rank(m, tol) for name, m in mats.items()}
 
 
 def count_monotonicity_check(move1, move2, eff: EffectiveMove,

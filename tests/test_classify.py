@@ -45,6 +45,20 @@ def test_boundary_step_none_is_zero():
     assert viaNone.counts["I"] == q
 
 
+@pytest.mark.parametrize("side", ["prev", "next"])
+def test_cross_matrix_dimension_mismatch_is_an_input_error(side):
+    # c_prev's columns and c_next's rows are the step's slots; a wrong count
+    # is an InputError before any slot is selected
+    q = 3
+    c_prev, c_next = np.ones((q, q)), np.ones((q, q))
+    if side == "prev":
+        c_prev = np.ones((q, q + 1))
+    else:
+        c_next = np.ones((q + 1, q))
+    with pytest.raises(InputError, match="cross-matrix dimensions do not match the Hessian"):
+        classify_step(c_prev, c_next, np.eye(q))
+
+
 def test_single_z_direction():
     basis = classify_step([[1.0]], [[1.0]], [[0.0]])
     assert basis.counts["z"] == 1

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from helpers import designed_instance, regular_move
 
-from canonkit.actions import QuadraticMove, post_momentum, pre_momentum
+from canonkit.actions import QuadraticMove, moves_tolerance, post_momentum, pre_momentum
 from canonkit.classify import classify_step
 from canonkit.effective import (
     chain_compose,
@@ -15,7 +15,7 @@ from canonkit.effective import (
     reclassify_onshell,
 )
 from canonkit.lattice import expanding_square_sequence
-from canonkit.linalg import left_null_basis, right_null_basis
+from canonkit.linalg import DEFAULT_TOL, left_null_basis, right_null_basis
 
 
 def classify_chain(m1, m2):
@@ -365,6 +365,22 @@ def test_monotonicity_lattice_example(square_fixture):
     dims = degeneracy_dims(m1, m2, eff)
     assert dims == {"c1": 12, "c2": 8, "h": 8, "c_eff": 12}
     assert count_monotonicity_check(m1, m2, eff) is True
+
+
+def test_degeneracy_dims_are_the_null_basis_dimensions(rng):
+    pairs = [designed_instance(rng, sizes) for sizes in (
+        {"I": 1, "H": 1, "l": 1, "lambda": 1, "r": 1, "rho": 1, "z": 1, "gamma": 2},
+        {"lambda": 2, "rho": 1, "z": 1},
+        {"I": 2, "gamma": 3},
+    )]
+    seq = expanding_square_sequence(4, mass=0.5).sequence
+    pairs += list(zip(seq.moves, seq.moves[1:]))
+    for m1, m2 in pairs:
+        tol = moves_tolerance(DEFAULT_TOL, m1, m2)
+        eff = compose(m1, m2, classify_step(m1.c, m2.c, m1.b + m2.a, tol, step=m1.step_to), tol)
+        mats = {"c1": m1.c, "c2": m2.c, "h": m1.b + m2.a, "c_eff": eff.c}
+        assert degeneracy_dims(m1, m2, eff) == {
+            name: right_null_basis(m, tol).dim for name, m in mats.items()}
 
 
 def test_monotonicity_regular(rng):

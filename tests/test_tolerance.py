@@ -314,6 +314,35 @@ def test_primary_constraint_ranks_give_the_observable_counts(sizes, seed, kind, 
             assert hilbert_dims(post, move.dim, tol) == len(b_to.post_observable_rows)
 
 
+@INVARIANTS
+@given(sizes_strategy.filter(lambda s: sum(s.values()) > s["I"]), seeds,
+       st.integers(min_value=1, max_value=4))
+def test_zero_padded_slots_are_unit_gauge_rows_of_the_unpadded_basis(sizes, seed, k):
+    # every slot of a designed instance with a non-I type is active, so the
+    # padded step classifies the unpadded matrices and adds one unit I row
+    # per padded slot, after the active I rows
+    rng = np.random.default_rng(seed)
+    m1, m2 = designed_instance(rng, sizes)
+    q = m1.dim
+    slots = np.sort(rng.choice(q + k, size=q, replace=False))
+
+    def embed(m):
+        out = np.zeros((q + k, q + k))
+        out[np.ix_(slots, slots)] = m
+        return out
+
+    tol = moves_tolerance(DEFAULT_TOL, m1, m2)
+    h = m1.b + m2.a
+    want = classify_step(m1.c, m2.c, h, tol, step=1)
+    got = classify_step(embed(m1.c), embed(m2.c), embed(h), tol, step=1)
+    rows = np.zeros((q, q + k))
+    rows[:, slots] = want.T
+    n_i = want.counts["I"]
+    units = np.delete(np.eye(q + k), slots, axis=0)
+    assert np.array_equal(got.T, np.vstack([rows[:n_i], units, rows[n_i:]]))
+    assert got.labels == want.labels[:n_i] + ("I",) * k + want.labels[n_i:]
+
+
 # -- Hilbert dimensions and brackets measure p and x in their own units -----------
 
 
