@@ -24,15 +24,17 @@ from .actions import moves_tolerance
 from .errors import DegeneracyError, InputError
 from .linalg import (
     DEFAULT_TOL,
+    _completed_rank,
+    _difference_rows,
+    _fix_signs,
+    _intersect_rows,
+    _meet,
+    _null_rows,
+    _symmetric_null_rows,
     as_matrix,
     asymmetry,
-    full_space,
-    intersect,
     inverse_on_rows,
-    left_null_basis,
     numeric_rank,
-    right_null_basis,
-    subtract,
     with_scale,
     zero_cut,
 )
@@ -161,7 +163,16 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     rows of c_prev and columns of c_next, which leaves its null spaces
     unchanged.  Every rank cut is taken in the block's own dimension (the
     scale still comes from the full matrices), so a zero-padded problem
-    makes the decisions of its unpadded original.
+    makes the decisions of its unpadded original.  When every slot is
+    active the matrices are classified as they are, without copies.
+
+    The groups are built on plain orthonormal row stacks, and each
+    decomposition yields all it determines: rightNull(c_prev) and
+    leftNull(c_next) come from one SVD each, null(h) from one ``eigh``;
+    the intersection that finds I in R ∩ L leaves H as its complement; and
+    T = [chosen groups; gamma] is regular when the singular values of gamma's
+    difference decomposition, together with ones for gamma's rows, pass the
+    rank rule.  Signs are fixed once per group.
     """
     h = as_matrix(h)
     q = h.shape[0]
@@ -176,51 +187,58 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     if asymmetry(h, tol):
         raise InputError("Hessian must be symmetric")
 
-    used = h != 0
-    active = used.any(axis=0) | used.any(axis=1)
+    active = h.any(axis=0) | h.any(axis=1)
     if c_prev is not None:
-        used = c_prev != 0
-        active |= used.any(axis=0)
-        c_prev = c_prev[used.any(axis=1)]
+        active |= c_prev.any(axis=0)
+        nonzero = c_prev.any(axis=1)
+        c_prev = c_prev if nonzero.all() else c_prev[nonzero]
     if c_next is not None:
-        used = c_next != 0
-        active |= used.any(axis=1)
-        c_next = c_next[:, used.any(axis=0)]
-    slots = np.flatnonzero(active)
-    k = slots.size
-    right = full_space(k) if c_prev is None else right_null_basis(c_prev[:, slots], tol)
-    left = full_space(k) if c_next is None else left_null_basis(c_next[slots], tol)
-    hnull = right_null_basis(h[np.ix_(slots, slots)], tol)
+        active |= c_next.any(axis=1)
+        nonzero = c_next.any(axis=0)
+        c_next = c_next if nonzero.all() else c_next[:, nonzero]
+    dense = active.all()
+    if not dense:
+        slots = np.flatnonzero(active)
+        h = h[np.ix_(slots, slots)]
+        c_prev = None if c_prev is None else c_prev[:, slots]
+        c_next = None if c_next is None else c_next[slots]
+    k = h.shape[0]
+    if k == 0:
+        return ClassifiedBasis(step=step, T=np.eye(q), labels=("I",) * q, tol=tol)
+    right = np.eye(k) if c_prev is None else _null_rows(c_prev, tol)
+    left = np.eye(k) if c_next is None else _null_rows(c_next.T, tol)
+    hnull = _symmetric_null_rows(h, tol)
 
-    two_sided = intersect(right, left, tol)
-    grp = {}
-    grp["I"] = intersect(two_sided, hnull, tol)
-    grp["H"] = subtract(two_sided, grp["I"], tol=tol)
-    grp["l"] = subtract(intersect(left, hnull, tol), grp["I"], tol=tol)
-    grp["r"] = subtract(intersect(right, hnull, tol), grp["I"], tol=tol)
-    grp["lambda"] = subtract(left, grp["I"], grp["H"], grp["l"], tol=tol)
-    grp["rho"] = subtract(right, grp["I"], grp["H"], grp["r"], tol=tol)
-    grp["z"] = subtract(hnull, grp["I"], grp["l"], grp["r"], tol=tol)
-    chosen = [grp[t] for t in ("I", "H", "l", "lambda", "r", "rho", "z")]
-    grp["gamma"] = subtract(full_space(k), *chosen, tol=tol)
+    gauge, pair = _intersect_rows(_meet(right, left, tol), hnull, tol)
+    grp = {"I": _fix_signs(gauge), "H": _fix_signs(pair)}
+    for t, side in (("l", left), ("r", right)):
+        grp[t] = _fix_signs(_difference_rows(_meet(side, hnull, tol), grp["I"], tol)[0])
+    for t, span, others in (("lambda", left, "IHl"), ("rho", right, "IHr"), ("z", hnull, "Ilr")):
+        excluded = np.concatenate([grp[o] for o in others])
+        grp[t] = _fix_signs(_difference_rows(span, excluded, tol)[0])
+    chosen = np.concatenate([grp[t] for t in VECTOR_TYPES[:-1]])
+    gamma, sv = _difference_rows(np.eye(k), chosen, tol)
+    grp["gamma"] = _fix_signs(gamma)
 
-    c = {t: grp[t].dim for t in VECTOR_TYPES}
+    c = {t: grp[t].shape[0] for t in VECTOR_TYPES}
     if sum(c.values()) != k:
         raise DegeneracyError(f"step {step}: classification produced {sum(c.values())} "
                               f"of {k} basis vectors on the active slots")
-    t_block = np.vstack([grp[t].basis.T for t in VECTOR_TYPES])
     # T is dimensionless: its rank is not measured against the problem scale.
-    # The full T is [t_block, 0; 0, 1] up to a permutation, so the block decides
-    if numeric_rank(t_block, float(tol)) < k:
+    # The full T is [chosen, 0; gamma, 0; 0, 1] up to a permutation, with gamma
+    # orthonormal and orthogonal to the chosen rows, so sv and ones decide
+    if _completed_rank(sv, k, float(tol)) < k:
         raise DegeneracyError(f"step {step}: classified basis is numerically singular")
-    if (c["I"] + c["H"] + c["l"] + c["lambda"] != left.dim
-            or c["I"] + c["H"] + c["r"] + c["rho"] != right.dim
-            or c["I"] + c["l"] + c["r"] + c["z"] != hnull.dim):
+    if (c["I"] + c["H"] + c["l"] + c["lambda"] != left.shape[0]
+            or c["I"] + c["H"] + c["r"] + c["rho"] != right.shape[0]
+            or c["I"] + c["l"] + c["r"] + c["z"] != hnull.shape[0]):
         raise DegeneracyError("group dimensions inconsistent with null spaces")
-    rows = np.zeros((k, q))
-    rows[:, slots] = t_block
-    t_matrix = np.vstack([rows[:c["I"]], np.eye(q)[~active], rows[c["I"]:]])
-    c["I"] += q - k
+    t_matrix = np.concatenate([chosen, grp["gamma"]])
+    if not dense:
+        rows = np.zeros((k, q))
+        rows[:, slots] = t_matrix
+        t_matrix = np.vstack([rows[:c["I"]], np.eye(q)[~active], rows[c["I"]:]])
+        c["I"] += q - k
     labels = tuple(t for t in VECTOR_TYPES for _ in range(c[t]))
     return ClassifiedBasis(step=step, T=t_matrix, labels=labels, tol=tol)
 

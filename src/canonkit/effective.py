@@ -173,9 +173,14 @@ def reclassify_onshell(eff_left, move_right, tol: float = DEFAULT_TOL,
 
 
 def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
-                  tol: float = DEFAULT_TOL) -> EffectiveMove:
+                  tol: float = DEFAULT_TOL, first_basis: ClassifiedBasis = None) -> EffectiveMove:
     """Left fold of compose over all intermediate steps of a sequence; each
-    step is classified against the data composed so far (``glued_bases``)."""
+    step is classified against the data composed so far (``glued_bases``).
+
+    The first glued step's data are the sequence's own, so a caller that
+    holds its sequence basis may pass it as ``first_basis`` instead of
+    having it classified again.
+    """
     if not (seq.first_step <= from_step < to_step <= seq.last_step):
         raise InputError("step range outside the sequence")
     tol = moves_tolerance(tol, *seq.moves)
@@ -183,8 +188,9 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
     first = moves[0]
     acc = EffectiveMove(first.step_from, first.step_to, first.a, first.b, first.c)
     for nxt in moves[1:]:
-        basis = classify_step(acc.c, nxt.c, acc.b + nxt.a, tol, step=nxt.step_from)
+        basis = first_basis or classify_step(acc.c, nxt.c, acc.b + nxt.a, tol, step=nxt.step_from)
         acc = compose(acc, nxt, basis, tol)
+        first_basis = None
     return acc
 
 

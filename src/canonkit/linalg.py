@@ -11,13 +11,25 @@ float ``tol``, built once per sequence or move pair from every a, b and c
 rank (Hansen, *Rank-Deficient and Discrete Ill-Posed Problems*, 1998).
 Orthonormal bases are dimensionless: intersections and differences work
 from small SVDs of them instead of stacked Q x Q projectors.
-``intersect`` decides on the sines of the principal angles (Björck &
-Golub, Math. Comp. 27, 1973; Golub & Van Loan §6.4), with the cut
-``4 * Q * tol`` in ambient dimension Q.  ``subtract`` takes a small right
-null space with the threshold of ``right_null_basis`` at the scale of the
-stacked matrix it replaces.  Bases are ordered by ascending singular
-value, then index, with the sign of each vector fixed, so identical inputs
-always produce bit-identical outputs.
+
+The kernels work on plain stacks of orthonormal rows, and each
+decomposition returns all it determines.  ``_null_rows`` takes one full
+SVD; ``_symmetric_null_rows`` takes one ``eigh`` of a symmetric matrix,
+whose singular values are its |eigenvalues|, under the same cut.
+``_intersect_rows`` decides on the sines of the principal angles (Björck
+& Golub, Math. Comp. 27, 1973; Golub & Van Loan §6.4), with the cut
+``4 * Q * tol`` in ambient dimension Q, and returns the intersection
+together with its complement in its first operand.  ``_difference_rows``
+takes a small right null space with the threshold of ``right_null_basis``
+at the scale of the stacked matrix it replaces, and returns the singular
+values it cut: when the excluded rows are linearly independent, they and
+ones are the singular values of the excluded rows stacked over the result,
+so ``_completed_rank`` reads that stack's rank off them without another
+SVD.  ``right_null_basis``, ``left_null_basis``, ``intersect`` and
+``subtract`` are ``Subspace`` wrappers over these kernels.  Null rows are
+ordered by ascending singular value, then index, and each returned basis
+has the sign of every vector fixed once, so identical inputs always
+produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -33,10 +45,12 @@ DEFAULT_TOL = 1e-10
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d float array."""
-    a = np.atleast_2d(np.asarray(m, dtype=float))
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise InputError(f"expected a matrix, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+        a = np.atleast_2d(a)
+        if a.ndim != 2:
+            raise InputError(f"expected a matrix, got ndim={a.ndim}")
+    if a.size and not np.isfinite(a).all():
         raise InputError("matrix has non-finite entries")
     return a
 
@@ -87,8 +101,13 @@ def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
     _check_tol(tol)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > zero_cut(tol, max(a.shape), s[0])))
+    return _rank_of(np.linalg.svd(a, compute_uv=False), max(a.shape), tol)
+
+
+def _rank_of(sigma: np.ndarray, n: int, tol) -> int:
+    """The number of singular values above ``zero_cut`` at the largest, in
+    dimension n."""
+    return int(np.count_nonzero(sigma > zero_cut(tol, n, sigma.max()))) if sigma.size else 0
 
 
 @dataclass(frozen=True)
@@ -148,22 +167,108 @@ def empty_subspace(n: int) -> Subspace:
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude component (first on near-ties)
     is positive."""
+    if not rows.size:
+        return rows
     mags = np.abs(rows)
-    top = mags.max(axis=1, keepdims=True)
-    lead = np.argmax(mags >= top * (1.0 - 1e-12), axis=1)
-    flip = rows[np.arange(rows.shape[0]), lead] < 0
-    return np.where(flip[:, None], -rows, rows)
+    lead = (mags >= mags.max(axis=1, keepdims=True) * (1.0 - 1e-12)).argmax(axis=1)
+    return rows * np.where(rows[np.arange(rows.shape[0]), lead] < 0, -1.0, 1.0)[:, None]
 
 
-def _null_rows(s: np.ndarray, vh: np.ndarray, cut: float) -> np.ndarray:
-    """Rows of ``vh`` whose singular value (zero past ``s``) is at most
-    ``cut``, by ascending singular value, then index."""
-    n = vh.shape[1]
-    sigma = np.zeros(n)
+def _split_rows(s: np.ndarray, vh: np.ndarray, cut: float):
+    """Rows of the square ``vh`` whose singular value (zero past the
+    descending ``s``) is at most ``cut``, by ascending singular value, then
+    index; and the other rows, in ``vh``'s order."""
+    sigma = np.zeros(vh.shape[0])
     sigma[: s.size] = s
-    rank = int(np.sum(sigma > cut))
-    idx = sorted(range(rank, n), key=lambda k: (sigma[k], k))
-    return vh[idx] if idx else np.zeros((0, n))
+    rank = int(np.count_nonzero(s > cut))
+    return vh[rank + sigma[rank:].argsort(kind="stable")], vh[:rank]
+
+
+def _null_rows(a: np.ndarray, tol) -> np.ndarray:
+    """Orthonormal rows spanning {v : a v = 0}: the right singular vectors of
+    one full SVD at most ``zero_cut`` at sigma_max, ordered, signs not fixed."""
+    n = a.shape[1]
+    if a.shape[0] == 0 or not np.any(a):
+        return np.eye(n)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return _split_rows(s, vh, zero_cut(tol, max(a.shape), s[0]))[0]
+
+
+def _symmetric_null_rows(h: np.ndarray, tol) -> np.ndarray:
+    """``_null_rows`` of a symmetric ``h`` from one ``eigh``: its singular
+    values are the |eigenvalues|, cut by ``zero_cut`` at the largest."""
+    n = h.shape[0]
+    if not np.any(h):
+        return np.eye(n)
+    w, v = np.linalg.eigh(h)
+    mags = np.abs(w)
+    keep = np.flatnonzero(mags <= zero_cut(tol, n, mags.max()))
+    return v[:, keep[mags[keep].argsort(kind="stable")]].T
+
+
+def _intersect_rows(b1: np.ndarray, b2: np.ndarray, tol):
+    """The intersection of two row spans and its complement in the first,
+    both as orthonormal rows in span(b1).
+
+    For orthonormal rows b1 (k of them) and b2 in R^Q, the singular values
+    of the Q x k residual ``b1ᵀ - b2ᵀ (b2 b1ᵀ)`` are the sines of the
+    principal angles between the spans, one per direction of b1 (1 for the
+    directions in excess of dim b2), and its right singular vectors the
+    matching coefficient rows in b1.  Directions whose sine is at most
+    ``4 * Q * tol`` span the intersection, the others its complement.  A
+    side that takes all of b1 is b1 itself.
+    """
+    q = b1.shape[1]
+    if not b1.shape[0] or not b2.shape[0]:
+        return b1[:0], b1
+    if b2.shape[0] == q:
+        return b1, b1[:0]
+    resid = b1.T - b2.T @ (b2 @ b1.T)
+    _, sines, vh = np.linalg.svd(resid, full_matrices=False)
+    inter, rest = _split_rows(sines, vh, 4.0 * q * tol)
+    if not rest.shape[0]:
+        return b1, b1[:0]
+    if not inter.shape[0]:
+        return b1[:0], b1
+    return inter @ b1, rest @ b1
+
+
+def _meet(b1: np.ndarray, b2: np.ndarray, tol) -> np.ndarray:
+    """The intersection of two row spans, in the lower-dimensional one's
+    rows (b2's on a tie), so there is one sine per principal angle."""
+    if b2.shape[0] <= b1.shape[0]:
+        b1, b2 = b2, b1
+    return _intersect_rows(b1, b2, tol)[0]
+
+
+def _difference_rows(s: np.ndarray, excluded: np.ndarray, tol):
+    """Orthonormal rows of span(s) orthogonal to every row of ``excluded``,
+    and the singular values they were cut from.
+
+    The rows are the right null space of the small matrix ``M = excluded sᵀ``
+    mapped back through the orthonormal rows s.  The rank threshold is the
+    rule of ``right_null_basis`` on the stacked matrix ``[I - P_s; excluded]``
+    that ``M`` condenses: ``tol * max(1, sigma_max(M)) * (Q + rows of M)``,
+    where the scale is that matrix's spectral norm whenever the excluded
+    rows lie inside span(s).
+    """
+    if not s.shape[0] or not excluded.shape[0]:
+        return s, np.zeros(0)
+    m = excluded @ s.T
+    _, sv, vh = np.linalg.svd(m, full_matrices=True)
+    return _split_rows(sv, vh, tol * max(1.0, sv[0]) * (s.shape[1] + m.shape[0]))[0] @ s, sv
+
+
+def _completed_rank(sv: np.ndarray, n: int, tol) -> int:
+    """``numeric_rank`` of the square stack ``[C; G]``, read off the singular
+    values ``sv`` of C (m <= n rows): G is an orthonormal basis of the
+    complement of C's row space, so the stack's singular values are ``sv``
+    and n - m ones."""
+    return _rank_of(np.concatenate([sv, np.ones(n - sv.size)]), n, tol)
+
+
+def _subspace(n: int, rows: np.ndarray) -> Subspace:
+    return Subspace(n, _fix_signs(rows).T)
 
 
 def right_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
@@ -175,14 +280,7 @@ def right_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
     """
     a = as_matrix(m)
     _check_tol(tol)
-    n = a.shape[1]
-    if n == 0:
-        return empty_subspace(0)
-    if a.shape[0] == 0 or not np.any(a):
-        return full_space(n)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cut = zero_cut(tol, max(a.shape), s[0] if s.size else 0.0)
-    return Subspace(n, _fix_signs(_null_rows(s, vh, cut)).T)
+    return _subspace(a.shape[1], _null_rows(a, tol))
 
 
 def left_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
@@ -190,67 +288,32 @@ def left_null_basis(m, tol: float = DEFAULT_TOL) -> Subspace:
     return right_null_basis(as_matrix(m).T, tol)
 
 
-def _in_basis(s: Subspace, w: np.ndarray) -> Subspace:
-    """The subspace spanned by coefficient rows ``w`` in the basis of ``s``."""
-    return Subspace(s.ambient_dim, _fix_signs(w @ s.basis.T).T)
-
-
 def intersect(s1: Subspace, s2: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Intersection of two subspaces, from their principal angles.
 
-    With orthonormal bases B1 and B2, B2 the one of lower dimension k, the
-    singular values of the Q x k residual ``B2 - B1 (B1ᵀ B2)`` are the sines
-    of the principal angles between the subspaces, and its right singular
-    vectors the matching directions in B2.  Directions whose sine is at
-    most ``4 * Q * tol`` span the intersection.  The decision is made on
-    sines, which resolve small angles, never on cosines near 1.
-
-    The cut carries over the rank rule on the stacked complement projectors
-    ``[I - P1; I - P2]`` (2Q rows, spectral norm up to √2): two directions
-    at angle θ give that matrix the singular value √2 sin(θ/2), and
-    ``√2 sin(θ/2) <= tol * √2 * 2Q`` is ``sin θ <= 4 Q tol`` to first order.
+    The decision is made on the sines of the principal angles
+    (``_intersect_rows``), which resolve small angles, never on cosines
+    near 1.  The cut ``4 * Q * tol`` carries over the rank rule on the
+    stacked complement projectors ``[I - P1; I - P2]`` (2Q rows, spectral
+    norm up to √2): two directions at angle θ give that matrix the singular
+    value √2 sin(θ/2), and ``√2 sin(θ/2) <= tol * √2 * 2Q`` is
+    ``sin θ <= 4 Q tol`` to first order.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise InputError("ambient dimensions differ")
     _check_tol(tol)
-    big, small = (s1, s2) if s2.dim <= s1.dim else (s2, s1)
-    q = small.ambient_dim
-    if small.dim == 0:
-        return empty_subspace(q)
-    if big.dim == q:
-        # every sine is zero: all of ``small`` is kept, in its own basis
-        return _in_basis(small, np.eye(small.dim))
-    b = small.basis
-    resid = b - big.basis @ (big.basis.T @ b)
-    _, sines, vh = np.linalg.svd(resid, full_matrices=False)
-    return _in_basis(small, _null_rows(sines, vh, 4.0 * q * tol))
+    return _subspace(s1.ambient_dim, _meet(s1.basis.T, s2.basis.T, tol))
 
 
 def subtract(s: Subspace, *excluded: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of ``s`` intersected with the orthogonal complement
-    of the span of all ``excluded`` subspaces.
-
-    The directions are the right null space of the small matrix
-    ``M = [E1 E2 ...]ᵀ S`` of the excluded bases against the basis S of
-    ``s``, mapped back through S.  The rank threshold is the rule of
-    ``right_null_basis`` on the stacked matrix ``[I - P_s; E1ᵀ; E2ᵀ; ...]``
-    that ``M`` condenses: ``tol * max(1, sigma_max(M)) * (Q + sum dim E)``,
-    where the scale is that matrix's spectral norm whenever the excluded
-    subspaces lie inside ``s``.
-    """
+    of the span of all ``excluded`` subspaces (``_difference_rows``)."""
     _check_tol(tol)
     for e in excluded:
         if e.ambient_dim != s.ambient_dim:
             raise InputError("ambient dimensions differ")
-    blocks = [e.basis.T for e in excluded if e.dim]
-    if s.dim == 0:
-        return empty_subspace(s.ambient_dim)
-    if not blocks:
-        return _in_basis(s, np.eye(s.dim))
-    m = np.vstack(blocks) @ s.basis
-    _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    cut = tol * max(1.0, sv[0]) * (s.ambient_dim + m.shape[0])
-    return _in_basis(s, _null_rows(sv, vh, cut))
+    stack = np.vstack([s.basis.T[:0]] + [e.basis.T for e in excluded])
+    return _subspace(s.ambient_dim, _difference_rows(s.basis.T, stack, tol)[0])
 
 
 def span_of_rows(rows, ambient_dim: int, tol: float = DEFAULT_TOL) -> Subspace:

@@ -32,12 +32,18 @@ class _Analysis:
     def __init__(self, seq, tol=DEFAULT_TOL, overrides=None):
         self.seq, self.tol = seq, moves_tolerance(tol, *seq.moves)
         self.bases = classify_sequence(seq, self.tol, overrides)
+        self._overridden = set(overrides or ())
         self._ranges = {}
 
     def composed(self, from_step, to_step):
-        """The range's effective move and its outer bases, built on first use."""
+        """The range's effective move and its outer bases, built on first use.
+        The first glued step starts from its sequence basis unless that basis
+        was supplied."""
         if (from_step, to_step) not in self._ranges:
-            eff = chain_compose(self.seq, from_step, to_step, self.tol)
+            glued = self.seq.move_out_of(from_step).step_to
+            first = (self.bases[glued] if glued < to_step and glued not in self._overridden
+                     else None)
+            eff = chain_compose(self.seq, from_step, to_step, self.tol, first_basis=first)
             self._ranges[from_step, to_step] = eff, effective_outer_bases(eff, self.tol)
         return self._ranges[from_step, to_step]
 

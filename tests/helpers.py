@@ -15,10 +15,10 @@ from dataclasses import replace
 import numpy as np
 
 from canonkit.actions import MoveSequence, QuadraticMove
-from canonkit.classify import VECTOR_TYPES, split_variables
+from canonkit.classify import VECTOR_TYPES, ClassifiedBasis, split_variables
 from canonkit.errors import ConstraintViolationError, InputError
 from canonkit.evolution import CanonicalData, SolveResult, _free_vector, observable_block
-from canonkit.linalg import DEFAULT_TOL, Subspace, right_null_basis
+from canonkit.linalg import DEFAULT_TOL, Subspace, right_null_basis, with_scale
 
 
 def random_orthogonal(rng, n):
@@ -251,6 +251,31 @@ def oracle_subtract(s, *excluded, tol=1e-10):
     [I - P_s; E1ᵀ; E2ᵀ; ...]: the full-SVD reference for linalg.subtract."""
     blocks = [s.complement_projector()] + [e.basis.T for e in excluded if e.dim]
     return right_null_basis(np.vstack(blocks), tol)
+
+
+def oracle_classify_step(c_prev, c_next, h, tol=DEFAULT_TOL, step=0):
+    """The staged I/H/l/lambda/r/rho/z/gamma construction on Subspaces of
+    the full matrices, every intersection and difference taken by the
+    stacked-projector oracles: the reference for classify.classify_step."""
+    h = np.asarray(h, dtype=float)
+    q = h.shape[0]
+    tol = with_scale(tol, c_prev, c_next, h)
+    full = Subspace(q, np.eye(q))
+    right = full if c_prev is None else right_null_basis(c_prev, tol)
+    left = full if c_next is None else right_null_basis(np.asarray(c_next).T, tol)
+    hnull = right_null_basis(h, tol)
+    two_sided = oracle_intersect(right, left, tol)
+    g = {"I": oracle_intersect(two_sided, hnull, tol)}
+    g["H"] = oracle_subtract(two_sided, g["I"], tol=tol)
+    g["l"] = oracle_subtract(oracle_intersect(left, hnull, tol), g["I"], tol=tol)
+    g["r"] = oracle_subtract(oracle_intersect(right, hnull, tol), g["I"], tol=tol)
+    g["lambda"] = oracle_subtract(left, g["I"], g["H"], g["l"], tol=tol)
+    g["rho"] = oracle_subtract(right, g["I"], g["H"], g["r"], tol=tol)
+    g["z"] = oracle_subtract(hnull, g["I"], g["l"], g["r"], tol=tol)
+    g["gamma"] = oracle_subtract(full, *(g[t] for t in VECTOR_TYPES[:-1]), tol=tol)
+    labels = tuple(t for t in VECTOR_TYPES for _ in range(g[t].dim))
+    return ClassifiedBasis(step=step, T=np.vstack([g[t].basis.T for t in VECTOR_TYPES]),
+                           labels=labels, tol=tol)
 
 
 def label_groups(basis):

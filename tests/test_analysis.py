@@ -129,6 +129,30 @@ def test_quantum_compose_shares_the_glued_bases(tmp_path, capsys, monkeypatch):
     assert (composed["in_step"], composed["out_step"]) == (0, 4)
 
 
+@pytest.mark.parametrize("n_steps", [2, 4, 16])
+def test_composed_range_starts_from_the_sequence_basis(monkeypatch, n_steps):
+    seq = expanding_square_sequence(n_steps, mass=0.5).sequence
+    counts = _count_calls(monkeypatch, canonkit.classify.classify_step)
+    an = reporting._Analysis(seq)
+    eff, _ = an.composed(0, 2)
+    # every step once, then the composed move's two outer steps only
+    assert counts["classify_step"] == len(seq.steps) + 2
+    assert eff.glued_bases[0] is an.bases[1]
+    reporting.full_report(seq)
+    assert counts["classify_step"] == 2 * (len(seq.steps) + 2)
+
+
+def test_supplied_first_basis_is_reclassified_against_the_sequence_data():
+    fx = expanding_square_sequence(3, mass=0.5)
+    an = reporting._Analysis(fx.sequence, overrides={1: fx.basis_t1})
+    eff, _ = an.composed(0, 2)
+    fresh = chain_compose(fx.sequence, 0, 2, an.tol)
+    assert eff.glued_bases[0] is not an.bases[1]
+    assert np.array_equal(eff.glued_bases[0].T, fresh.glued_bases[0].T)
+    for key in "abc":
+        assert np.array_equal(getattr(eff, key), getattr(fresh, key))
+
+
 def test_gaussian_state_symmetry_is_measured_against_its_scale():
     amp = Amplitude()
     # 0.09 % asymmetry is not round-off, however small the entries

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import designed_instance, random_orthogonal
 
+from canonkit.actions import moves_tolerance
 from canonkit.classify import (
     VECTOR_TYPES,
+    classify_rows,
     classify_step,
     hessian_block,
     m_lambda_rho,
     split_variables,
 )
 from canonkit.errors import InputError
-from canonkit.linalg import left_null_basis, right_null_basis, span_of_rows
+from canonkit.linalg import DEFAULT_TOL, left_null_basis, right_null_basis, span_of_rows
 
 
 def nonzero_counts(basis):
@@ -271,3 +275,48 @@ def test_sequence_classification_requires_known_step(square_fixture):
     fx, _ = square_fixture
     with pytest.raises(InputError):
         fx.sequence.hessian(7)
+
+
+# -- the construction on plain row stacks ----------------------------------------
+
+designed_sizes = st.fixed_dictionaries(
+    {t: st.integers(min_value=0, max_value=3) for t in VECTOR_TYPES}
+).filter(lambda s: sum(s.values()) >= 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(designed_sizes, st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([1e-8, 1.0, 1e8]))
+def test_default_basis_rows_carry_their_labels(sizes, seed, scale):
+    # designed_instance rotates all three steps; only the middle step's
+    # counts are designed
+    m1, m2 = (m.scaled(scale) for m in designed_instance(np.random.default_rng(seed), sizes))
+    tol = moves_tolerance(DEFAULT_TOL, m1, m2)
+    steps = ((None, m1.c, m1.a), (m1.c, m2.c, m1.b + m2.a), (m2.c, None, m2.b))
+    for n, args in enumerate(steps):
+        basis = classify_step(*args, tol, step=n)
+        assert classify_rows(basis.T, *args, tol, step=n).labels == basis.labels
+        for t in VECTOR_TYPES:
+            group = basis.block(t)
+            assert np.allclose(group @ group.T, np.eye(group.shape[0]), rtol=0, atol=1e-12), t
+        if n == 1:
+            assert basis.counts == sizes
+
+
+def test_middle_step_takes_at_most_13_decompositions_and_no_svd_of_t(monkeypatch, rng):
+    sizes = {**{t: 1 for t in VECTOR_TYPES}, "gamma": 2}
+    m1, m2 = designed_instance(rng, sizes)
+    inputs = []
+
+    def counted(fn):
+        def wrapper(a, *args, **kwargs):
+            inputs.append(np.array(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    basis = classify_step(m1.c, m2.c, m1.b + m2.a, step=1)
+    assert basis.counts == sizes
+    assert len(inputs) <= 13
+    assert not any(a.shape == basis.T.shape and np.array_equal(a, basis.T) for a in inputs)

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import random_orthogonal
+
 from canonkit.errors import DegeneracyError, InputError
 from canonkit.linalg import (
     Subspace,
+    _completed_rank,
+    _difference_rows,
     full_space,
     intersect,
     left_null_basis,
@@ -13,6 +17,7 @@ from canonkit.linalg import (
     right_null_basis,
     span_of_rows,
     subtract,
+    zero_cut,
 )
 
 
@@ -205,3 +210,35 @@ def test_span_of_rows_roundtrip(rng):
     assert sub.dim == 3
     for r in rows:
         assert sub.contains(r)
+
+
+# a diagonal stack has exact singular values, so it can sit on the cut; the
+# round-off of a rotated one needs a wider margin
+@pytest.mark.parametrize("rotated, factor", [
+    (False, 1 - 1e-6), (False, 1.0), (False, 1 + 1e-6), (True, 1 - 1e-3), (True, 1 + 1e-3),
+])
+def test_regularity_read_off_the_chosen_stack(rng, rotated, factor):
+    # T = [C; G] with G an orthonormal basis of the complement of C's row
+    # space has C's singular values and ones, so C's SVD decides T's rank.
+    # The smallest singular value of C is planted at factor x T's cut.
+    n, m, tol = 9, 4, 1e-10
+    sv = np.array([2.0, 1.5, 1.0, factor * zero_cut(tol, n, 2.0)])
+    if rotated:
+        c = random_orthogonal(rng, m) @ (sv[:, None] * random_orthogonal(rng, n)[:m])
+    else:
+        c = np.zeros((m, n))
+        c[np.arange(m), np.arange(m)] = sv
+    _, s, vh = np.linalg.svd(c)
+    t_matrix = np.vstack([c, vh[m:]])
+    want = n - 1 if factor <= 1.0 else n
+    assert numeric_rank(t_matrix, tol) == want
+    assert _completed_rank(s, n, tol) == want
+
+
+def test_gamma_decomposition_returns_the_chosen_stack_singular_values(rng):
+    chosen = np.linalg.qr(rng.normal(size=(7, 3)))[0].T * np.array([[1.0], [0.5], [0.25]])
+    gamma, sv = _difference_rows(np.eye(7), chosen, 1e-10)
+    assert gamma.shape == (4, 7)
+    assert_allclose(sv, [1.0, 0.5, 0.25], rtol=1e-14)
+    assert_allclose(chosen @ gamma.T, 0.0, atol=1e-14)
+    assert _completed_rank(sv, 7, 1e-10) == numeric_rank(np.vstack([chosen, gamma])) == 7

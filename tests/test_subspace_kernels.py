@@ -1,16 +1,20 @@
 """Principal-angle intersect/subtract against the stacked-projector oracle.
 
 The oracle (helpers.oracle_intersect / oracle_subtract) takes the null space
-of stacked complement projectors with one full SVD.  The library works from
-small SVDs of the subspaces' bases; labels, counts and group spans of every
-classification must agree.
+of stacked complement projectors with one full SVD, and
+helpers.oracle_classify_step builds the staged classification from them.
+The library works from small SVDs of the subspaces' bases; labels, counts
+and group spans of every classification must agree.
 """
+
+import sys
 
 import numpy as np
 import pytest
 from helpers import (
     designed_instance,
     label_groups,
+    oracle_classify_step,
     oracle_intersect,
     oracle_subtract,
     random_orthogonal,
@@ -23,9 +27,11 @@ from canonkit.linalg import Subspace, empty_subspace, full_space, intersect, sub
 
 
 def _oracle(monkeypatch, fn):
+    # classify_step works on row arrays, so the oracle stands in for the
+    # whole staged construction, wherever classify_step is bound
     with monkeypatch.context() as m:
-        m.setattr(classify, "intersect", oracle_intersect)
-        m.setattr(classify, "subtract", oracle_subtract)
+        m.setattr(classify, "classify_step", oracle_classify_step)
+        m.setattr(sys.modules[__name__], "classify_step", oracle_classify_step)
         return fn()
 
 
