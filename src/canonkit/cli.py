@@ -43,8 +43,17 @@ def _default_tol() -> float:
 
 def _emit(report, fmt: str, out):
     text = reporting.report_to_json(report) if fmt == "json" else reporting.render_text(report)
+    _write_line(text, out)
+
+
+def _write_line(text: str, out) -> None:
+    """Write ``text`` and a newline to the file ``out``, or print them.  The
+    newline is written on its own: ``text + "\\n"`` would copy a report of
+    many megabytes once more."""
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.write("\n")
     else:
         print(text)
 
@@ -109,10 +118,7 @@ def cmd_evolve(args) -> int:
             f"p = {np.array2string(out.p, precision=6)}\n"
             f"free rows: {res.free_rows}"
         )
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    _write_line(text, args.out)
     return 0
 
 

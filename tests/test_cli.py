@@ -395,3 +395,46 @@ def test_malformed_slot_maps_and_bases_exit_2(fixture_files, capsys, target, key
     capsys.readouterr()
     assert main(["classify", "--input", str(moves), "--basis", str(bases), "--step", "1"]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", [[1, 3, 4], [1, 1, 2], [1.5, 2, 3], [3, 2, 1]])
+@pytest.mark.parametrize("command", [
+    ["report"],
+    ["classify", "--step", "2"],
+    ["constraints", "--step", "2"],
+    ["quantum", "propagator", "--from", "0", "--to", "1"],
+])
+def test_move_steps_must_be_consecutive_integers_exit_2(tmp_path, capsys, steps, command):
+    moves = tmp_path / "moves.json"
+    assert main(["example", "square-lattice", "--steps", "3", "--out", str(moves)]) == 0
+    data = json.loads(moves.read_text())
+    for entry, n in zip(data["moves"], steps):
+        entry["n"] = n
+    moves.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main([*command, "--input", str(moves)]) == 2
+    err = capsys.readouterr().err
+    assert "consecutive" in err if isinstance(steps[0], int) else "must be an integer" in err
+
+
+@pytest.mark.parametrize("q", [28.5, "28", True])
+def test_fractional_or_non_numeric_dimension_exit_2(tmp_path, capsys, q):
+    moves = tmp_path / "moves.json"
+    assert main(["example", "square-lattice", "--steps", "3", "--out", str(moves)]) == 0
+    data = json.loads(moves.read_text())
+    data["Q"] = q
+    moves.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--input", str(moves)]) == 2
+    assert "Q must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_steps_are_accepted(tmp_path):
+    moves = tmp_path / "moves.json"
+    assert main(["example", "square-lattice", "--steps", "2", "--out", str(moves)]) == 0
+    data = json.loads(moves.read_text())
+    data["Q"] = float(data["Q"])
+    for entry in data["moves"]:
+        entry["n"] = float(entry["n"])
+    seq = serialize.sequence_from_dict(data)
+    assert seq.dim == 12 and [m.step_to for m in seq.moves] == [1, 2]

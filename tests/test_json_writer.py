@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from canonkit.cli import main
 from canonkit.lattice import expanding_square_sequence
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1e-308,
-               1.7976931348623157e308, 0.1, math.nan, math.inf, -math.inf]
+               1.7976931348623157e308, 0.1, 1e16, 1e-5, math.nan, math.inf, -math.inf]
 EDGE_STRINGS = ["", "é", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "  ", "\ud800", "😀"]
 
 scalars = st.one_of(
@@ -38,6 +39,33 @@ trees = st.recursive(
     max_leaves=60,
 )
 
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def zero_rows(draw):
+    """A row of 1-300 floats, mostly +-0.0, with a few other values set."""
+    n = draw(st.integers(1, 300))
+    negative_share = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    row = [-0.0 if rnd.random() < negative_share else 0.0 for _ in range(n)]
+    for i, v in draw(st.lists(st.tuples(st.integers(0, n - 1), any_float), max_size=6)):
+        row[i] = v
+    return row
+
+
+rows = st.one_of(zero_rows(), zero_rows().map(tuple))
+float_trees = st.recursive(
+    st.one_of(rows, st.lists(rows, min_size=1, max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(keys, children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
 
 def stdlib(obj, sort_keys):
     return json.dumps(obj, indent=1, sort_keys=sort_keys)
@@ -47,6 +75,33 @@ def stdlib(obj, sort_keys):
 @given(trees, st.booleans())
 def test_matches_stdlib_on_random_trees(obj, sort_keys):
     assert serialize.dumps_indented(obj, sort_keys) == stdlib(obj, sort_keys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_trees, st.booleans())
+def test_matches_stdlib_on_long_zero_rows(obj, sort_keys):
+    assert serialize.dumps_indented(obj, sort_keys) == stdlib(obj, sort_keys)
+
+
+@pytest.mark.parametrize("odd", [np.float64(0.0), np.float64(-0.0), np.float64(math.nan),
+                                 np.float64(2.5), True, 0, None])
+@pytest.mark.parametrize("where", [0, 7, -1])
+def test_float_row_with_one_other_item_takes_the_general_path(monkeypatch, odd, where):
+    row = [0.0] * 30
+    row[3], row[11] = -0.0, 1e16
+    row[where] = odd
+    obj = {"m": [row, [0.0] * 30], "t": tuple(row)}
+    written = []
+
+    def spy(values, depth):
+        written.append(list(values))
+        return float_row(values, depth)
+
+    float_row = serialize._float_row
+    monkeypatch.setattr(serialize, "_float_row", spy)
+    for sort_keys in (False, True):
+        assert serialize.dumps_indented(obj, sort_keys) == stdlib(obj, sort_keys)
+    assert written == [[0.0] * 30] * 2
 
 
 @pytest.mark.parametrize("sort_keys", [False, True])
