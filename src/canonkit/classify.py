@@ -281,8 +281,13 @@ def classify_sequence(seq, tol: float = DEFAULT_TOL, overrides: dict = None) -> 
 
     ``overrides`` maps step -> explicit T matrix; overridden steps are
     labelled with classify_rows instead of the default construction.
-    An override for a step the sequence does not have is an InputError.
+    An override for a step the sequence does not have is an InputError, and
+    so is a move that does not start where the previous one ends.
     """
+    for prev, nxt in zip(seq.moves, seq.moves[1:]):
+        if nxt.step_from != prev.step_to:
+            raise InputError(f"move {nxt.step_from}->{nxt.step_to} does not start where "
+                             f"move {prev.step_from}->{prev.step_to} ends")
     tol = moves_tolerance(tol, *seq.moves)
     overrides = overrides or {}
     unknown = sorted(set(overrides) - set(seq.steps))

@@ -24,7 +24,7 @@ import canonkit.quantum
 from canonkit import reporting, serialize
 from canonkit.actions import MoveSequence, QuadraticMove
 from canonkit.cli import main
-from canonkit.classify import VECTOR_TYPES
+from canonkit.classify import VECTOR_TYPES, classify_sequence
 from canonkit.effective import chain_compose
 from canonkit.errors import InputError
 from canonkit.lattice import expanding_square_sequence
@@ -164,3 +164,12 @@ def test_gaussian_state_symmetry_is_measured_against_its_scale():
     # round-off far below tol at a large scale is still symmetric
     big = 1e9 * (np.array([[1.0, 1.0 + 1e-15], [1.0, 1.0]]) + 1j * np.eye(2))
     GaussianState(step=0, hbar=1.0, amplitude=amp, M=big, j=np.zeros(2))
+
+
+def test_a_gapped_sequence_is_an_input_error():
+    # MoveSequence accepts the gap, so validate can report it; analysis cannot
+    m1, m2 = expanding_square_sequence(2, mass=0.5).sequence.moves
+    seq = MoveSequence(m1.dim, (m1, QuadraticMove(2, 3, m2.a, m2.b, m2.c)))
+    for analyse in (classify_sequence, reporting.full_report):
+        with pytest.raises(InputError, match=r"move 2->3 does not start where move 0->1 ends"):
+            analyse(seq)

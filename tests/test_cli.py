@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,3 +442,13 @@ def test_integral_float_steps_are_accepted(tmp_path):
         entry["n"] = float(entry["n"])
     seq = serialize.sequence_from_dict(data)
     assert seq.dim == 12 and [m.step_to for m in seq.moves] == [1, 2]
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: other tests load scipy through fixed_variable_solve
+    code = ("import sys, canonkit, canonkit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]", proc.stdout
