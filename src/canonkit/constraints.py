@@ -90,12 +90,23 @@ def primary_constraints(move_prev, move_next, basis: ClassifiedBasis) -> list:
         if move_next.step_from != basis.step:
             raise InputError("move_next does not leave from the basis step")
         sides.append(("pre", basis.left_rows, move_next.a, 1.0))
-    return [
-        LinearConstraint(step=basis.step, kind=kind, p_coeffs=basis.T[k],
-                         x_coeffs=sign * (hess @ basis.T[k]), source_type=basis.labels[k])
-        for kind, rows, hess, sign in sides
-        for k in rows
-    ]
+    out = []
+    for kind, rows, hess, sign in sides:
+        x = sign * _row_products(hess, basis.T, rows)
+        out.extend(LinearConstraint(step=basis.step, kind=kind, p_coeffs=basis.T[k],
+                                    x_coeffs=x[i], source_type=basis.labels[k])
+                   for i, k in enumerate(rows.tolist()))
+    return out
+
+
+def _row_products(m, t, rows) -> np.ndarray:
+    """Row i is ``m @ t[rows[i]]``, bit for bit: numpy's matmul runs one gemv
+    per stacked item, where ``t[rows] @ m.T`` would be one gemm, whose
+    blocking changes the rounding.  Empty groups, common on small steps,
+    skip the indexing and matmul's fixed cost."""
+    if not len(rows):
+        return np.empty((0, m.shape[0]))
+    return np.matmul(m, t[rows][:, :, None])[:, :, 0]
 
 
 def poisson_bracket(c1: LinearConstraint, c2: LinearConstraint) -> float:
@@ -196,12 +207,11 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
              ("r", "holonomic_right", move_next.step_to, move_next.c.T))
     out = []
     for label, kind, step, cross in sides:
-        for k in basis.rows_of(label):
-            coeffs = cross @ basis.T[k]
+        for coeffs in _row_products(cross, basis.T, basis.rows_of(label)):
             out.append(LinearConstraint(step=step, kind=kind, p_coeffs=zeros, x_coeffs=coeffs,
                                         source_type=label, trivial=is_trivial(coeffs)))
-    for k in basis.rows_of("z"):
-        first, second = (cross @ basis.T[k] for *_, cross in sides)
+    z = basis.rows_of("z")
+    for first, second in zip(*(_row_products(cross, basis.T, z) for *_, cross in sides)):
         out.append(
             LinearConstraint(
                 step=(move_prev.step_from, move_next.step_to),

@@ -13,6 +13,7 @@ constraints; these are carried as records and never solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -115,9 +116,17 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
     for basis, primary, sources, sign in sides:
         parts = [(rec.name, rec.constraint.x_part_at(basis.step)) for rec in eff.multipliers
                  if rec.source_type in sources and basis.step in rec.constraint.steps]
-        for con in primary:
-            coeffs = ((name, sign * float(con.p_coeffs @ x)) for name, x in parts)
-            terms = tuple((name, c) for name, c in coeffs if abs(c) > cut)
+        if not parts or not primary:
+            out.extend(primary)
+            continue
+        names = [name for name, _ in parts]
+        p = np.array([con.p_coeffs for con in primary])
+        x = np.array([x for _, x in parts])
+        # one ddot per (constraint, multiplier) pair, bit for bit float(p @ x);
+        # p @ x.T would be one gemm, whose blocking changes the rounding
+        coeffs = sign * np.matmul(p[:, None, None, :], x[None, :, :, None])[:, :, 0, 0]
+        for con, row, kept in zip(primary, coeffs.tolist(), (np.abs(coeffs) > cut).tolist()):
+            terms = tuple(compress(zip(names, row), kept))
             out.append(replace(con, multiplier_terms=terms) if terms else con)
     out.extend(rec.constraint for rec in eff.multipliers)
     return out

@@ -6,6 +6,7 @@ once, and the quantum fold glues later steps where ``chain_compose`` did."""
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import InputError
 from .evolution import dof_report
 from .linalg import DEFAULT_TOL
 from .quantum import compose_kernels, normalized_measure, propagator_from_move
-from .serialize import dumps_indented
+from .serialize import dumps_indented, float_rows
 
 
 class _Analysis:
@@ -58,21 +59,30 @@ def classification_report(an, step):
     }
 
 
-def constraint_entry(c, constraint_class="unresolved"):
-    entry = {
-        "step": list(c.steps) if len(c.steps) == 2 else c.steps[0],
-        "kind": c.kind,
-        "source_type": c.source_type,
-        "class": constraint_class,
-        "p_coeffs": c.p_coeffs.tolist(),
-        "x_coeffs": c.x_coeffs.tolist(),
-        "trivial": bool(c.trivial),
-    }
-    if c.x_coeffs_other is not None:
-        entry["x_coeffs_other"] = c.x_coeffs_other.tolist()
-    if c.multiplier_terms:
-        entry["multiplier_terms"] = [[name, float(v)] for name, v in c.multiplier_terms]
-    return entry
+def constraint_entries(cons, classes=None):
+    """Report entries of constraints with coefficient vectors of one length;
+    each coefficient stack is converted in one ``float_rows`` call."""
+    if not cons:
+        return []
+    p_rows = float_rows([c.p_coeffs for c in cons])
+    x_rows = float_rows([c.x_coeffs for c in cons])
+    entries = []
+    for c, tag, p, x in zip(cons, classes or repeat("unresolved"), p_rows, x_rows):
+        entry = {
+            "step": list(c.steps) if len(c.steps) == 2 else c.steps[0],
+            "kind": c.kind,
+            "source_type": c.source_type,
+            "class": tag,
+            "p_coeffs": p,
+            "x_coeffs": x,
+            "trivial": bool(c.trivial),
+        }
+        if c.x_coeffs_other is not None:
+            entry["x_coeffs_other"] = float_rows(c.x_coeffs_other)
+        if c.multiplier_terms:
+            entry["multiplier_terms"] = [[name, float(v)] for name, v in c.multiplier_terms]
+        entries.append(entry)
+    return entries
 
 
 def constraints_report(an, step):
@@ -81,9 +91,8 @@ def constraints_report(an, step):
     table = bracket_table(cons, seq.hessian(step), basis, an.tol)
     return {
         "step": step,
-        "constraints": [constraint_entry(c, tag)
-                        for c, tag in zip(table.constraints, table.class_split)],
-        "brackets": table.brackets.tolist(),
+        "constraints": constraint_entries(table.constraints, table.class_split),
+        "brackets": float_rows(table.brackets),
         "m_lambda_rho": table.m_lambda_rho,
         "all_first_class": bool(table.all_first_class),
     }
@@ -117,14 +126,14 @@ def effective_section(an, from_step, to_step):
     section = {
         "from": from_step,
         "to": to_step,
-        "a_eff": eff.a.tolist(),
-        "b_eff": eff.b.tolist(),
-        "c_eff": eff.c.tolist(),
+        "a_eff": float_rows(eff.a),
+        "b_eff": float_rows(eff.b),
+        "c_eff": float_rows(eff.c),
         "multipliers": [
-            {"type": rec.source_type, "step": rec.step, "row": rec.row.tolist()}
+            {"type": rec.source_type, "step": rec.step, "row": float_rows(rec.row)}
             for rec in eff.multipliers
         ],
-        "constraints": [constraint_entry(c) for c in cons],
+        "constraints": constraint_entries(cons),
     }
     if dims is not None:
         section["degeneracy_dims"] = dims
@@ -144,10 +153,10 @@ def kernel_summary(kernel):
         "continuous_phase": float(kernel.continuous_phase),
         "delta_count": int(kernel.deltas.shape[0]),
         "delta_labels": list(kernel.delta_labels),
-        "A": kernel.A.tolist(),
-        "B": kernel.B.tolist(),
-        "C": kernel.C.tolist(),
-        "deltas": kernel.deltas.tolist(),
+        "A": float_rows(kernel.A),
+        "B": float_rows(kernel.B),
+        "C": float_rows(kernel.C),
+        "deltas": float_rows(kernel.deltas),
     }
 
 

@@ -6,13 +6,16 @@ report (``reporting.report_to_json``), move files (``save_sequence``) and
 stdlib's ``indent=1`` layout byte for byte: it returns exactly
 ``json.dumps(obj, indent=1, sort_keys=sort_keys)``.
 
-Almost every number it writes is an exact zero: a time-varying
-discretization lives in one space of Q = 8N - 4 zero-padded slots, so
-99.7 % of the 1.15 million floats in the N = 16 square report are +-0.0.
-Lists whose items are all exact ``float``s therefore take their own path,
-which writes each zero as the constant ``0.0`` instead of formatting it:
-a row of +0.0 is one cached text, and in any other row only the entries
-with a nonzero bit pattern (-0.0 included) go through ``float.__repr__``.
+Almost every number it writes is an exact zero, and most rows repeat: a
+time-varying discretization lives in one space of Q = 8N - 4 zero-padded
+slots, so 99.7 % of the 1.15 million floats in the N = 16 square report
+are +-0.0, and its 8,488 float rows hold only 579 distinct (bit pattern,
+depth) pairs.  Lists whose items are all exact ``float``s therefore take
+their own path: within one ``dumps_indented`` call each distinct row is
+formatted once, and in that one pass only the entries with a nonzero bit
+pattern (-0.0 included) go through ``float.__repr__``.  ``float_rows``
+turns arrays into such lists, with one shared +0.0 object for each
+all-zero row.
 
 Move files are JSON:
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from array import array
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -51,16 +53,21 @@ def dumps_indented(obj, sort_keys: bool = False) -> str:
     every value.  This writer lays out the nested dicts and lists itself.
     A list or tuple whose items are all exact ``float``s (the matrix rows
     and vectors of reports and move files, nearly all zeros) is written by
-    ``_float_row``, which formats only its nonzero entries.  Every other
+    ``_float_row``, which formats each distinct row once per call, and
+    only its nonzero entries; rows of zeros share one text.  Every other
     dict or list that holds no dict, list or tuple goes to the stdlib's
     compact encoder in one call, which runs in C where the interpreter has
-    the speedups.  Both write floats with ``float.__repr__`` and
-    NaN/±Infinity, and keys and sorted items as the Python encoder does.
-    Input is a tree: a cycle raises ``RecursionError`` where
-    ``json.dumps`` raises ``ValueError``.
+    the speedups, and a lone ``str``, ``int``, ``float``, ``bool`` or
+    ``None`` is written directly.  All of them write floats with
+    ``float.__repr__`` and NaN/±Infinity, and keys and sorted items as the
+    Python encoder does.  Input is a tree: a cycle raises
+    ``RecursionError`` where ``json.dumps`` raises ``ValueError``.
     """
     chunks = []
-    _write(obj, 0, sort_keys, chunks.append)
+    try:
+        _write(obj, 0, sort_keys, chunks.append)
+    finally:
+        _ROW_TEXTS.clear()
     return "".join(chunks)
 
 
@@ -75,33 +82,53 @@ def _leaf_encoder(depth: int, sort_keys: bool):
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _row_text(pieces, depth: int) -> str:
-    """A list at ``depth`` of the given item texts, one item a line."""
-    inner = "\n" + " " * (depth + 1)
-    return "[" + inner + ("," + inner).join(pieces) + "\n" + " " * depth + "]"
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
 
 
-@functools.lru_cache(maxsize=256)
-def _zero_row(n: int, depth: int) -> str:
-    """The text of a list of ``n`` items +0.0 at ``depth``."""
-    return _row_text(["0.0"] * n, depth)
+# the scalar leaves written without an encoder, by exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+# row text by (bit pattern, depth); dumps_indented empties it when it
+# returns or raises, so no pass over a report can reuse another's work.  A
+# text is keyed by its content, so calls that overlap in time can only
+# share right answers.
+_ROW_TEXTS = {}
 
 
 def _float_row(row, depth: int) -> str:
     """The text of a non-empty list or tuple of exact floats at ``depth``."""
-    n = len(row)
     values = array("d", row)
-    if values.tobytes() == bytes(8 * n):
-        return _zero_row(n, depth)
-    pieces = ["0.0"] * n
-    rep = float.__repr__
-    for i in np.flatnonzero(np.frombuffer(values, dtype=np.int64)).tolist():
-        pieces[i] = rep(row[i])
-    # a NaN or an infinity makes the sum non-finite (so may an overflow,
-    # which the mapping leaves alone)
-    if not math.isfinite(sum(row)):
-        pieces = [_NONFINITE.get(p, p) for p in pieces]
-    return _row_text(pieces, depth)
+    key = (values.tobytes(), depth)
+    text = _ROW_TEXTS.get(key)
+    if text is None:
+        pieces = ["0.0"] * len(row)
+        for i in np.flatnonzero(np.frombuffer(values, dtype=np.int64)).tolist():
+            pieces[i] = _float_text(row[i])
+        inner = "\n" + " " * (depth + 1)
+        text = "[" + inner + ("," + inner).join(pieces) + "\n" + " " * depth + "]"
+        _ROW_TEXTS[key] = text
+    return text
+
+
+def float_rows(a) -> list:
+    """``a.tolist()`` for a 1-D or 2-D float array, in value and bit pattern.
+    Each all-+0.0 row is ``[0.0] * n``, which holds one float object, not n;
+    only the other rows (-0.0 included) are converted."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        return float_rows(a[None])[0]
+    n = a.shape[1]
+    nonzero = np.ascontiguousarray(a).view(np.int64).any(axis=1)
+    converted = iter(a[nonzero].tolist())
+    return [next(converted) if nz else [0.0] * n for nz in nonzero.tolist()]
 
 
 def _key(k) -> str:
@@ -121,6 +148,10 @@ def _write(o, depth: int, sort_keys: bool, emit) -> None:
             emit(_float_row(o, depth))
             return
     else:
+        scalar = _SCALAR_TEXT.get(type(o))
+        if scalar is not None:
+            emit(scalar(o))
+            return
         kinds = ()
     if not any(issubclass(t, _CONTAINERS) for t in kinds):
         text = _leaf_encoder(depth, sort_keys)(o)
@@ -149,7 +180,7 @@ def sequence_to_dict(seq: MoveSequence) -> dict:
         "Q": seq.dim,
         "hbar": seq.hbar,
         "moves": [
-            {"n": m.step_to, "a": m.a.tolist(), "b": m.b.tolist(), "c": m.c.tolist()}
+            {"n": m.step_to, "a": float_rows(m.a), "b": float_rows(m.b), "c": float_rows(m.c)}
             for m in seq.moves
         ],
         "slot_maps": {str(k): v for k, v in seq.slot_maps.items()},
@@ -220,7 +251,8 @@ def load_sequence(path) -> MoveSequence:
 
 
 def load_bases(path, dim: int) -> dict:
-    """Basis override file -> {step: T matrix}."""
+    """Basis override file -> {step: T matrix}.  Each step is an integer
+    named at most once."""
     data = _read_json(path)
     try:
         entries = data["bases"]
@@ -231,10 +263,12 @@ def load_bases(path, dim: int) -> dict:
     out = {}
     for entry in entries:
         try:
-            step = int(entry["step"])
+            step = _integer(entry["step"], "basis step")
             t = np.asarray(entry["T"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed basis entry: {exc}") from exc
+        if step in out:
+            raise InputError(f"{path}: more than one basis for step {step}")
         if t.shape != (dim, dim):
             raise InputError(f"basis at step {step} must be {dim}x{dim}")
         out[step] = t
@@ -242,10 +276,11 @@ def load_bases(path, dim: int) -> dict:
 
 
 def load_canonical_data(path, dim: int):
-    """Canonical-data file: {"step": int, "x": [...], "p": [...], "side": "pre"|"post"}."""
+    """Canonical-data file: {"step": int, "x": [...], "p": [...], "side": "pre"|"post"};
+    a fractional or boolean step is an InputError."""
     data = _read_json(path)
     try:
-        step = int(data["step"])
+        step = _integer(data["step"], "data step")
         x = np.asarray(data["x"], dtype=float)
         p = np.asarray(data["p"], dtype=float)
         side = data.get("side", "pre")

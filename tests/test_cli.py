@@ -452,3 +452,52 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+@pytest.mark.parametrize("step", [1.7, True])
+def test_fractional_or_boolean_basis_step_exit_2(fixture_files, tmp_path, capsys, step):
+    moves, bases = fixture_files
+    data = json.loads(bases.read_text())
+    data["bases"][0]["step"] = step
+    bad = tmp_path / "bad-bases.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["classify", "--input", str(moves), "--basis", str(bad), "--step", "1"]) == 2
+    assert "basis step must be an integer" in capsys.readouterr().err
+
+
+def test_repeated_basis_step_exit_2(fixture_files, tmp_path, capsys):
+    moves, bases = fixture_files
+    data = json.loads(bases.read_text())
+    first = data["bases"][0]
+    data["bases"].append({"step": first["step"], "T": np.eye(12).tolist()})
+    bad = tmp_path / "bad-bases.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--input", str(moves), "--basis", str(bad)]) == 2
+    assert f"more than one basis for step {first['step']}" in capsys.readouterr().err
+
+
+def test_integral_float_basis_and_data_steps_are_accepted(fixture_files, tmp_path):
+    moves, bases = fixture_files
+    data = json.loads(bases.read_text())
+    for entry in data["bases"]:
+        entry["step"] = float(entry["step"])
+    float_bases = tmp_path / "float-bases.json"
+    float_bases.write_text(json.dumps(data))
+    assert serialize.load_bases(float_bases, 12).keys() == serialize.load_bases(bases, 12).keys()
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps({"step": 1.0, "x": [0.0] * 12, "p": [0.0] * 12}))
+    step, *_ = serialize.load_canonical_data(data_file, 12)
+    assert step == 1 and type(step) is int
+
+
+@pytest.mark.parametrize("step", [1.5, True])
+def test_fractional_or_boolean_data_step_exit_2(fixture_files, tmp_path, capsys, step):
+    moves, bases = fixture_files
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps({"step": step, "x": [0.0] * 12, "p": [0.0] * 12,
+                                     "side": "pre"}))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file) == 2
+    assert "data step must be an integer" in capsys.readouterr().err
