@@ -315,68 +315,60 @@ class FixedVariableResult:
     gamma_shift: np.ndarray
 
 
+def _pivot_columns(a, m: int) -> np.ndarray:
+    """The first m pivots, sorted, of QR with column pivoting (Businger and
+    Golub, 1965): each step takes the column of largest remaining norm and
+    projects it out of the others."""
+    a = np.array(a, dtype=float)
+    piv = []
+    for _ in range(m):
+        j = int(np.argmax(np.einsum("ij,ij->j", a, a)))
+        q = a[:, j] / np.linalg.norm(a[:, j])
+        a -= np.outer(q, q @ a)
+        piv.append(j)
+    return np.sort(piv)
+
+
 def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
                          tol: float = DEFAULT_TOL) -> FixedVariableResult:
     """Solve the H-row holonomic equations and the lambda equations.
 
     ``x`` supplies the already-known middle configuration (its lambda, rho
     and gamma components are read), ``post_pi`` the post-side split momenta
-    (its lambda components feed the lambda equations).  Fixed x^rho rows are
-    picked by the column pivoting of a rank-revealing QR of the effective
-    lambda-rho block.  That QR is scipy's, and scipy is loaded here, on the
-    first call, not when canonkit is imported.
+    (its lambda components feed the lambda equations).  h_HH is factored
+    once: every block below is read off the Schur complement of h on
+    solutions of the H equations.  The m_lambda_rho fixed x^rho rows are the
+    first pivots of a column-pivoted QR of its lambda-rho block.
     """
     h = np.asarray(h, dtype=float)
     tol = with_scale(tol, h)
     x_split = basis.to_split_config(x)
-    k = basis.T @ h @ basis.T.T    # h in split coordinates, read block by block
-    rows_h = basis.rows_of("H")
-    rows_l = basis.rows_of("lambda")
-    rows_r = basis.rows_of("rho")
-    rows_g = basis.rows_of("gamma")
+    k = basis.T @ h @ basis.T.T    # h in split coordinates
+    rows_h, rows_l, rows_r, rows_g = (basis.rows_of(t) for t in ("H", "lambda", "rho", "gamma"))
     tilde = np.concatenate([rows_l, rows_r, rows_g])
 
     h_hh = k[np.ix_(rows_h, rows_h)]
-    if rows_h.size:
-        check_regular(h_hh, tol, "H block of the Hessian (a second-class pair commutes)")
-        x_h = -np.linalg.solve(h_hh, k[np.ix_(rows_h, tilde)] @ x_split[tilde])
-    else:
-        x_h = np.zeros(0)
+    check_regular(h_hh, tol, "H block of the Hessian (a second-class pair commutes)")
+    elim = np.linalg.solve(h_hh, k[rows_h])
+    s = k - k[:, rows_h] @ elim    # h on solutions of the H equations
+    x_h = -elim[:, tilde] @ x_split[tilde]
 
-    def schur(rows_a, rows_b):
-        """h_ab on solutions of the H equations."""
-        blk = k[np.ix_(rows_a, rows_b)]
-        if rows_h.size:
-            blk = blk - k[np.ix_(rows_a, rows_h)] @ np.linalg.solve(h_hh, k[np.ix_(rows_h, rows_b)])
-        return blk
-
-    s_lr = schur(rows_l, rows_r)
+    s_lr = s[np.ix_(rows_l, rows_r)]
     m = numeric_rank(s_lr, tol)
-
     fixed_rows = ()
     x_rho = np.zeros(0)
     if m:
-        import scipy.linalg  # here, not at module level: about 0.3 s and 28 MB per process
-
-        _, _, piv = scipy.linalg.qr(s_lr, pivoting=True)
-        cols = np.sort(piv[:m])
+        cols = _pivot_columns(s_lr, m)
         fixed_rows = tuple(int(rows_r[c]) for c in cols)
-        s_ll = schur(rows_l, rows_l)
-        s_lg = schur(rows_l, rows_g)
-        rhs = -(np.asarray(post_pi, dtype=float)[rows_l]
-                + s_ll @ x_split[rows_l] + s_lg @ x_split[rows_g])
         # remaining rho columns enter with their current values
-        rest = np.setdiff1d(np.arange(rows_r.size), cols)
-        if rest.size:
-            rhs = rhs - s_lr[:, rest] @ x_split[rows_r[rest]]
-        sol, *_ = np.linalg.lstsq(s_lr[:, cols], rhs, rcond=None)
-        x_rho = sol
+        known = np.concatenate([rows_l, np.delete(rows_r, cols), rows_g])
+        rhs = -(np.asarray(post_pi, dtype=float)[rows_l] + s[np.ix_(rows_l, known)] @ x_split[known])
+        x_rho, *_ = np.linalg.lstsq(s_lr[:, cols], rhs, rcond=None)
 
-    # one Schur complement over the stacked [rho; gamma] rows, placed on
-    # the rho and gamma columns of the split coordinates
+    # the [rho; gamma] block of s, placed on the rho and gamma columns
     rows_rg = np.concatenate([rows_r, rows_g])
     shift = np.zeros((rows_rg.size, basis.dim))
-    shift[:, rows_rg] = schur(rows_rg, rows_rg)
+    shift[:, rows_rg] = s[np.ix_(rows_rg, rows_rg)]
     return FixedVariableResult(
         x_H=x_h,
         fixed_rho_rows=fixed_rows,

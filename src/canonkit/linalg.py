@@ -56,8 +56,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> float:
-    if not tol > 0:
-        raise InputError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise InputError("tolerance must be positive and finite")
     return float(tol)
 
 

@@ -287,7 +287,7 @@ class GaussianState:
     """amplitude * exp(i(xᵀ M x/2 + jᵀ x)/hbar) with complex M, j.
 
     Im M must be positive semidefinite, strictly positive on the rows that
-    carry the square-integrable part (``support_labels`` when known).
+    carry the square-integrable part.
     """
 
     step: int
@@ -295,7 +295,6 @@ class GaussianState:
     amplitude: Amplitude
     M: np.ndarray
     j: np.ndarray
-    support_labels: tuple = None
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.M, dtype=complex))
@@ -382,10 +381,8 @@ def project_physical(state: GaussianState, constraints, side: str,
     m_new, j_new, amp = _gaussian_integral(g, w_mat, w0, state.M, state.j, state.amplitude,
                                            -0.5 * n * np.log(TWO_PI * hbar), hbar, tol,
                                            "group averaging")
-    return GaussianState(
-        step=state.step, hbar=hbar, amplitude=amp,
-        M=0.5 * (m_new + m_new.T), j=j_new, support_labels=state.support_labels,
-    )
+    return GaussianState(step=state.step, hbar=hbar, amplitude=amp,
+                         M=0.5 * (m_new + m_new.T), j=j_new)
 
 
 def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
@@ -431,13 +428,8 @@ def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
         kernel.B, np.zeros(kernel.dim_out), amp,
         0.5 * a_rows.size * np.log(TWO_PI * hbar), hbar, tol, "state evolution",
     )
-    support = None
-    if kernel.basis_out is not None:
-        support = tuple(int(r) for r in kernel.basis_out.post_observable_rows)
-    return GaussianState(
-        step=kernel.out_step, hbar=hbar, amplitude=amp,
-        M=0.5 * (m_new + m_new.T), j=j_new, support_labels=support,
-    )
+    return GaussianState(step=kernel.out_step, hbar=hbar, amplitude=amp,
+                         M=0.5 * (m_new + m_new.T), j=j_new)
 
 
 def check_annihilation(kernel: GaussianDeltaKernel, constraint, side: str,

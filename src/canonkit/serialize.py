@@ -199,7 +199,8 @@ def _integer(value, what: str) -> int:
 def sequence_from_dict(data: dict) -> MoveSequence:
     """The move sequence of a parsed move file.  The arrival steps ``n`` must
     be consecutive increasing integers; a gap, a repeat or a fractional step
-    is an InputError."""
+    is an InputError, and so is a ``slot_maps`` entry that is not a step of
+    the sequence mapped to a list of distinct integer slots in 0..Q-1."""
     try:
         q = _integer(data["Q"], "Q")
         hbar = float(data.get("hbar", 1.0))
@@ -223,10 +224,18 @@ def sequence_from_dict(data: dict) -> MoveSequence:
         if a.shape != (q, q) or b.shape != (q, q) or c.shape != (q, q):
             raise InputError(f"move {n}: matrices must be {q}x{q}")
         moves.append(QuadraticMove(n - 1, n, a, b, c))
-    try:
-        slot_maps = {int(k): list(v) for k, v in data.get("slot_maps", {}).items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed slot_maps: {exc}") from exc
+    steps = {str(n): n for n in range(moves[0].step_from, moves[-1].step_to + 1)}
+    raw_maps = data.get("slot_maps", {})
+    if not isinstance(raw_maps, dict):
+        raise InputError("malformed slot_maps: not a mapping from steps to slot lists")
+    slot_maps = {}
+    for key, value in raw_maps.items():
+        slots = [_integer(v, "a slot") for v in value] if isinstance(value, list) else None
+        if (str(key) not in steps or slots is None or len(set(slots)) != len(slots)
+                or not all(0 <= v < q for v in slots)):
+            raise InputError(f"malformed slot_maps entry {key!r}: keys are steps of the sequence, "
+                             f"values lists of distinct slots in 0..{q - 1}")
+        slot_maps[steps[str(key)]] = slots
     return MoveSequence(q, tuple(moves), hbar=hbar, slot_maps=slot_maps)
 
 

@@ -501,3 +501,42 @@ def test_fractional_or_boolean_data_step_exit_2(fixture_files, tmp_path, capsys,
     capsys.readouterr()
     assert _evolve(moves, bases, data_file) == 2
     assert "data step must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_non_finite_or_non_positive_tolerance_exit_2(fixture_files, monkeypatch, capsys, value, via):
+    moves, _ = fixture_files
+    if via == "flag":
+        argv = ["classify", "--input", str(moves), "--step", "1", f"--tol={value}"]
+    else:
+        monkeypatch.setenv("CANONKIT_TOL", value)
+        argv = ["report", "--input", str(moves)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slot_maps", [
+    {"0": "xy", "7": [99, -3, 99]},
+    {"0": "xy"},
+    {"7": [0]},
+    {"-1": []},
+    {"1": [0, 0]},
+    {"1": [4]},
+    {"1": [-1]},
+    {"1": [1.5]},
+    {"1": [True]},
+    {"1": None},
+])
+def test_slot_maps_name_steps_and_distinct_slots_exit_2(tmp_path, capsys, slot_maps):
+    moves = tmp_path / "moves.json"
+    assert main(["example", "square-lattice", "--steps", "1", "--out", str(moves)]) == 0
+    data = json.loads(moves.read_text())
+    assert data["Q"] == 4 and data["slot_maps"] == {"0": [], "1": [0, 1, 2, 3]}
+    data["slot_maps"] = slot_maps
+    moves.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", "--input", str(moves)]) == 2
+    assert "input error" in capsys.readouterr().err
+
