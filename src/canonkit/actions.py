@@ -11,11 +11,12 @@ are the source of every constraint downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry, with_scale
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class QuadraticMove:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def scale(self) -> float:
+        """The largest |entry| of a, b and c, computed once per move."""
+        return max((np.abs(m).max() for m in (self.a, self.b, self.c) if m.size), default=0.0)
 
     def action(self, x_from, x_to) -> float:
         x0 = np.asarray(x_from, dtype=float)
@@ -211,7 +217,8 @@ def post_momentum(move: QuadraticMove, x_from, x_to) -> np.ndarray:
 def moves_tolerance(tol, *moves) -> Tolerance:
     """``tol`` measured against the moves' scale, the largest |entry| of
     every a, b and c; a Tolerance keeps the scale it already carries."""
-    return with_scale(tol, *(mat for m in moves for mat in (m.a, m.b, m.c)))
+    scale = max((m.scale for m in moves), default=0.0)
+    return tol if isinstance(tol, Tolerance) else Tolerance(tol, scale)
 
 
 def validate(seq: MoveSequence, tol: float = DEFAULT_TOL) -> list:

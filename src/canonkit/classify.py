@@ -17,6 +17,7 @@ types by membership in rightNull(c_prev), leftNull(c_next) and null(h):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,7 @@ class ClassifiedBasis:
                 raise InputError(f"unknown vector type {lab!r}")
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "_row_groups", {})
 
     @property
     def dim(self) -> int:
@@ -88,9 +90,13 @@ class ClassifiedBasis:
         return {t: self.labels.count(t) for t in VECTOR_TYPES}
 
     def rows_of(self, *types) -> np.ndarray:
-        """Row indices carrying any of the given labels, in basis order."""
-        types = set(types)
-        return np.array([k for k, lab in enumerate(self.labels) if lab in types], dtype=int)
+        """Row indices carrying any of the given labels, in basis order; read-only."""
+        key = frozenset(types)
+        if key not in self._row_groups:
+            rows = np.array([k for k, lab in enumerate(self.labels) if lab in key], dtype=int)
+            rows.flags.writeable = False
+            self._row_groups[key] = rows
+        return self._row_groups[key]
 
     def block(self, *types) -> np.ndarray:
         """The sub-matrix of T rows with the given labels."""
@@ -117,7 +123,7 @@ class ClassifiedBasis:
     def post_observable_rows(self) -> np.ndarray:
         return self.rows_of(*POST_OBS_TYPES)
 
-    @property
+    @cached_property
     def abs_det(self) -> float:
         return float(abs(np.linalg.det(self.T)))
 
@@ -172,7 +178,11 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     the intersection that finds I in R ∩ L leaves H as its complement; and
     T = [chosen groups; gamma] is regular when the singular values of gamma's
     difference decomposition, together with ones for gamma's rows, pass the
-    rank rule.  Signs are fixed once per group.
+    rank rule.  Signs are fixed once per group.  An outer step holds only
+    I, H, r, rho (no c_prev) or I, H, l, lambda (no c_next), built in at most
+    5 decompositions, with rho's (lambda's) singular values in gamma's place.
+    Scales, |det T| and label groups are computed once per object: a move's
+    or basis' matrices are not to be changed after construction.
     """
     h = as_matrix(h)
     q = h.shape[0]
@@ -210,30 +220,33 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     hnull = _symmetric_null_rows(h, tol)
 
     gauge, pair = _intersect_rows(_meet(right, left, tol), hnull, tol)
-    grp = {"I": _fix_signs(gauge), "H": _fix_signs(pair)}
-    for t, side in (("l", left), ("r", right)):
-        grp[t] = _fix_signs(_difference_rows(_meet(side, hnull, tol), grp["I"], tol)[0])
-    for t, span, others in (("lambda", left, "IHl"), ("rho", right, "IHr"), ("z", hnull, "Ilr")):
-        excluded = np.concatenate([grp[o] for o in others])
-        grp[t] = _fix_signs(_difference_rows(span, excluded, tol)[0])
-    chosen = np.concatenate([grp[t] for t in VECTOR_TYPES[:-1]])
-    gamma, sv = _difference_rows(np.eye(k), chosen, tol)
-    grp["gamma"] = _fix_signs(gamma)
+    grp = dict.fromkeys(VECTOR_TYPES, np.zeros((0, k)))
+    grp["I"], grp["H"] = _fix_signs(gauge), _fix_signs(pair)
+    # (type, span, excluded types); an outer step skips z, gamma and the absent side's pair
+    pairs = (("l", left, "lambda"), ("r", right, "rho"))
+    pairs = pairs[1:] if c_prev is None else pairs[:1] if c_next is None else pairs
+    stages = [stage for hol, side, t in pairs
+              for stage in ((hol, _meet(side, hnull, tol), "I"), (t, side, ("I", "H", hol)))]
+    if len(pairs) == 2:
+        stages += [("z", hnull, "Ilr"), ("gamma", np.eye(k), VECTOR_TYPES[:-1])]
+    for t, span, others in stages:
+        rows, sv = _difference_rows(span, np.concatenate([grp[o] for o in others]), tol)
+        grp[t] = _fix_signs(rows)
 
     c = {t: grp[t].shape[0] for t in VECTOR_TYPES}
     if sum(c.values()) != k:
         raise DegeneracyError(f"step {step}: classification produced {sum(c.values())} "
                               f"of {k} basis vectors on the active slots")
     # T is dimensionless: its rank is not measured against the problem scale.
-    # The full T is [chosen, 0; gamma, 0; 0, 1] up to a permutation, with gamma
-    # orthonormal and orthogonal to the chosen rows, so sv and ones decide
+    # The full T is [chosen, 0; last, 0; 0, 1] up to a permutation, the last
+    # stage's rows orthonormal and orthogonal to the chosen rows: sv and ones decide
     if _completed_rank(sv, k, float(tol)) < k:
         raise DegeneracyError(f"step {step}: classified basis is numerically singular")
     if (c["I"] + c["H"] + c["l"] + c["lambda"] != left.shape[0]
             or c["I"] + c["H"] + c["r"] + c["rho"] != right.shape[0]
             or c["I"] + c["l"] + c["r"] + c["z"] != hnull.shape[0]):
         raise DegeneracyError("group dimensions inconsistent with null spaces")
-    t_matrix = np.concatenate([chosen, grp["gamma"]])
+    t_matrix = np.concatenate([grp[t] for t in VECTOR_TYPES])
     if not dense:
         rows = np.zeros((k, q))
         rows[:, slots] = t_matrix

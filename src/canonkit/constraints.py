@@ -242,11 +242,12 @@ def independent_count(constraints, tol: float = DEFAULT_TOL) -> int:
     constraints = list(constraints)
     if not constraints:
         return 0
-    rows = [np.concatenate([c.p_coeffs, *_x_parts([c])]) for c in constraints]
+    q = constraints[0].p_coeffs.size
+    far = [k for k, c in enumerate(constraints) if c.x_coeffs_other is not None]
     # zeros, then fill: a vstack raised peak RSS ~8 MB via glibc's mmap threshold
-    stack = np.zeros((len(rows), max(r.size for r in rows)))
-    for k, r in enumerate(rows):
-        stack[k, : r.size] = r
-    x = stack[:, constraints[0].p_coeffs.size:]
-    x /= with_scale(tol, x).scale or 1.0
+    stack = np.zeros((len(constraints), (3 if far else 2) * q))
+    stack[:, :q] = [c.p_coeffs for c in constraints]
+    stack[:, q : 2 * q] = [c.x_coeffs for c in constraints]
+    stack[far, 2 * q :] = [constraints[k].x_coeffs_other for k in far]
+    stack[:, q:] /= with_scale(tol, stack[:, q:]).scale or 1.0
     return numeric_rank(stack, float(tol))

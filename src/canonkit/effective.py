@@ -12,7 +12,7 @@ constraints; these are carried as records and never solved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -127,7 +127,9 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
         coeffs = sign * np.matmul(p[:, None, None, :], x[None, :, :, None])[:, :, 0, 0]
         for con, row, kept in zip(primary, coeffs.tolist(), (np.abs(coeffs) > cut).tolist()):
             terms = tuple(compress(zip(names, row), kept))
-            out.append(replace(con, multiplier_terms=terms) if terms else con)
+            out.append(LinearConstraint(con.step, con.kind, con.p_coeffs, con.x_coeffs,
+                                        source_type=con.source_type, multiplier_terms=terms)
+                       if terms else con)
     out.extend(rec.constraint for rec in eff.multipliers)
     return out
 

@@ -338,7 +338,9 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
     (its lambda components feed the lambda equations).  h_HH is factored
     once: every block below is read off the Schur complement of h on
     solutions of the H equations.  The m_lambda_rho fixed x^rho rows are the
-    first pivots of a column-pivoted QR of its lambda-rho block.
+    first pivots of a column-pivoted QR of its lambda-rho block.  ``x_H``
+    solves the H equations for the caller's x^rho, not for ``x_rho_fixed``:
+    a caller that places those values must solve for x^H again.
     """
     h = np.asarray(h, dtype=float)
     tol = with_scale(tol, h)

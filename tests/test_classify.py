@@ -16,7 +16,13 @@ from canonkit.classify import (
     split_variables,
 )
 from canonkit.errors import InputError
-from canonkit.linalg import DEFAULT_TOL, left_null_basis, right_null_basis, span_of_rows
+from canonkit.linalg import (
+    DEFAULT_TOL,
+    left_null_basis,
+    numeric_rank,
+    right_null_basis,
+    span_of_rows,
+)
 
 
 def nonzero_counts(basis):
@@ -320,3 +326,66 @@ def test_middle_step_takes_at_most_13_decompositions_and_no_svd_of_t(monkeypatch
     assert basis.counts == sizes
     assert len(inputs) <= 13
     assert not any(a.shape == basis.T.shape and np.array_equal(a, basis.T) for a in inputs)
+
+
+# -- outer steps: the absent side's null space is all of R^Q ---------------------
+
+# dropping c_prev (c_next) from a designed middle step merges each designed
+# type with its partner on that side; the merged groups are the four types an
+# outer step can hold
+OUTER_MERGE = {
+    "first": {"I": ("I", "l"), "H": ("H", "lambda"), "r": ("r", "z"), "rho": ("rho", "gamma")},
+    "last": {"I": ("I", "r"), "H": ("H", "rho"), "l": ("l", "z"), "lambda": ("lambda", "gamma")},
+}
+
+
+def outer_step(m1, m2, outer):
+    """The designed middle step of (m1, m2) with the cross matrix on the
+    ``outer`` side dropped, as classify_step arguments."""
+    h = m1.b + m2.a
+    return (None, m2.c, h) if outer == "first" else (m1.c, None, h)
+
+
+@pytest.mark.parametrize("outer", ["first", "last"])
+def test_outer_step_takes_at_most_5_decompositions(monkeypatch, rng, outer):
+    m1, m2 = designed_instance(rng, {t: 1 for t in VECTOR_TYPES})
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    basis = classify_step(*outer_step(m1, m2, outer), step=1)
+    assert nonzero_counts(basis) == {t: 2 for t in OUTER_MERGE[outer]}
+    assert len(calls) <= 5, calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(designed_sizes, st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([1e-6, 1.0, 1e6]), st.integers(min_value=0, max_value=3),
+       st.sampled_from(["first", "last"]))
+def test_outer_steps_hold_only_their_four_types(sizes, seed, scale, pad, outer):
+    m1, m2 = (m.scaled(scale) for m in designed_instance(np.random.default_rng(seed), sizes))
+    args = tuple(None if m is None else np.pad(m, (0, pad)) for m in outer_step(m1, m2, outer))
+    tol = moves_tolerance(DEFAULT_TOL, m1, m2)
+    basis = classify_step(*args, tol)
+    assert basis.labels == classify_rows(basis.T, *args, tol).labels
+    want = {t: sum(sizes[s] for s in merged) for t, merged in OUTER_MERGE[outer].items()}
+    want["I"] += pad
+    assert nonzero_counts(basis) == {t: n for t, n in want.items() if n}
+    counts = basis.counts
+    assert sum(counts.values()) == basis.dim
+    c_prev, c_next, h = args
+    q = basis.dim
+    null_dims = (q if c_prev is None else q - numeric_rank(c_prev, tol),
+                 q if c_next is None else q - numeric_rank(c_next, tol),
+                 q - numeric_rank(h, tol))
+    assert (counts["I"] + counts["H"] + counts["r"] + counts["rho"],
+            counts["I"] + counts["H"] + counts["l"] + counts["lambda"],
+            counts["I"] + counts["l"] + counts["r"] + counts["z"]) == null_dims
+    absent = ("l", "lambda") if outer == "first" else ("r", "rho")
+    assert all(counts[t] == 0 for t in (*absent, "z", "gamma"))

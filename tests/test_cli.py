@@ -445,7 +445,7 @@ def test_integral_float_steps_are_accepted(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # a fresh interpreter: other tests load scipy through fixed_variable_solve
+    # a fresh interpreter: the pivot oracle in test_fixed_variables loads scipy
     code = ("import sys, canonkit, canonkit.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
