@@ -34,6 +34,7 @@ from .linalg import (
     _symmetric_null_rows,
     as_matrix,
     asymmetry,
+    check_regular,
     inverse_on_rows,
     numeric_rank,
     with_scale,
@@ -206,6 +207,7 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
         active |= c_next.any(axis=1)
         nonzero = c_next.any(axis=0)
         c_next = c_next if nonzero.all() else c_next[:, nonzero]
+    # no copies for a dense input: copying every slot classifies designed-scan ~8 % slower
     dense = active.all()
     if not dense:
         slots = np.flatnonzero(active)
@@ -282,9 +284,7 @@ def label_for(v, c_prev, c_next, h, tol: float = DEFAULT_TOL) -> str:
 def classify_rows(T, c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) -> ClassifiedBasis:
     """Label the rows of an explicitly supplied basis (e.g. a reference fixture)."""
     t = as_matrix(T)
-    q = t.shape[0]
-    if numeric_rank(t, float(tol)) < q:
-        raise DegeneracyError(f"step {step}: supplied basis is singular")
+    check_regular(t, float(tol), f"step {step}: supplied basis")
     tol = with_scale(tol, c_prev, c_next, h)
     return ClassifiedBasis(step=step, T=t, labels=_row_labels(t, c_prev, c_next, h, tol), tol=tol)
 

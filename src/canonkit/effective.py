@@ -103,19 +103,17 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
     if basis_from.step != eff.step_from or basis_to.step != eff.step_to:
         raise InputError("outer bases do not match the effective move")
     cut = zero_cut(moves_tolerance(tol, eff), eff.dim)
-    # the move's primary pre-constraints (from side, l/z multipliers) and
-    # post-constraints (to side, r/z multipliers) gain multiplier terms.
-    # Multiplier records from earlier compositions in a chain may reference
-    # steps that have since been eliminated; those carry no coefficient at
-    # the surviving outer steps and only pass through as records
+    # the primary constraints of each outer step gain a term for each record
+    # whose constraint lives there: l at the step before its glued step, r at
+    # the step after, z at both; records at eliminated steps only pass through
     sides = (
-        (basis_from, primary_constraints(None, eff, basis_from), ("l", "z"), 1.0),
-        (basis_to, primary_constraints(eff, None, basis_to), ("r", "z"), -1.0),
+        (basis_from, primary_constraints(None, eff, basis_from), 1.0),
+        (basis_to, primary_constraints(eff, None, basis_to), -1.0),
     )
     out = []
-    for basis, primary, sources, sign in sides:
+    for basis, primary, sign in sides:
         parts = [(rec.name, rec.constraint.x_part_at(basis.step)) for rec in eff.multipliers
-                 if rec.source_type in sources and basis.step in rec.constraint.steps]
+                 if basis.step in rec.constraint.steps]
         if not parts or not primary:
             out.extend(primary)
             continue
