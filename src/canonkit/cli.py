@@ -104,13 +104,13 @@ def cmd_evolve(args) -> int:
     report = {
         "step": out.step,
         "side": out.momentum_side,
-        "x": [float(v) for v in out.x],
-        "p": [float(v) for v in out.p],
+        "x": out.x,
+        "p": out.p,
         "free_rows": [[int(r), lab] for r, lab in res.free_rows],
-        "injected": [float(v) for v in res.injected],
+        "injected": res.injected,
     }
     if args.format == "json":
-        text = serialize.dumps_indented(report)
+        text = serialize._dumps(report)
     else:
         text = (
             f"step {out.step} ({out.momentum_side} side)\n"
@@ -155,7 +155,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = reporting.full_report(*_load(args))
+    report = reporting._report_tree(*_load(args))
     _emit(report, args.format, args.out)
     return 0
 

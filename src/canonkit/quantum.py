@@ -317,6 +317,14 @@ class GaussianState:
         )
 
 
+def _check_finite_coefficients(arrays) -> None:
+    """Raise InputError unless every entry of the constraint coefficient
+    ``arrays`` (None for an absent one) is finite.  ``LinearConstraint``
+    does not check, since the library builds many."""
+    if not all(a is None or np.isfinite(a).all() for a in arrays):
+        raise InputError("constraint coefficients must be finite")
+
+
 def _abelian_or_raise(constraints, tol):
     """The constraints as a list; raises unless every pairwise bracket is
     zero (``zero_cut``) against max(s_i, s_j)**2 for coefficient scales s."""
@@ -359,7 +367,7 @@ def project_physical(state: GaussianState, constraints, side: str,
     """
     if side not in ("pre", "post"):
         raise InputError("side must be 'pre' or 'post'")
-    cons = _abelian_or_raise(constraints, tol)
+    cons = list(constraints)
     if not cons:
         return state
     q = state.dim
@@ -370,6 +378,8 @@ def project_physical(state: GaussianState, constraints, side: str,
             raise InputError("constraint dimension mismatch")
     u = np.stack([c.p_coeffs for c in cons], axis=1)     # (Q, N)
     v = np.stack([c.x_coeffs for c in cons], axis=1)
+    _check_finite_coefficients([u, v])
+    _abelian_or_raise(cons, tol)
     n = u.shape[1]
     hbar = state.hbar
 
@@ -441,6 +451,8 @@ def check_annihilation(kernel: GaussianDeltaKernel, constraint, side: str,
     """
     if side not in ("pre", "post"):
         raise InputError("side must be 'pre' or 'post'")
+    _check_finite_coefficients([constraint.p_coeffs, constraint.x_coeffs,
+                                constraint.x_coeffs_other])
     p = constraint.p_coeffs
     if side == "pre":
         # the pre-momentum acts on K as minus the post-momentum on the reversed kernel

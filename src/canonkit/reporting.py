@@ -1,7 +1,11 @@
-"""Analysis reports: plain-dict structures that serialize losslessly to JSON
-and render as text tables.  Every report reads one ``_Analysis``: the
-sequence's Tolerance and bases are built once, each step range is composed
-once, and the quantum fold glues later steps where ``chain_compose`` did."""
+"""Analysis reports: dict trees that serialize losslessly to JSON and render
+as text tables.  Every report reads one ``_Analysis``: the sequence's
+Tolerance and bases are built once, each step range is composed once, and
+the quantum fold glues later steps where ``chain_compose`` did.
+
+The section builders hold each matrix and vector as its float64 array,
+which ``report_to_json`` writes from the array's bytes; ``full_report``
+returns the plain form, with lists in their place."""
 
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from .errors import InputError
 from .evolution import dof_report
 from .linalg import DEFAULT_TOL
 from .quantum import compose_kernels, normalized_measure, propagator_from_move
-from .serialize import dumps_indented, float_rows
+from .serialize import _as_lists, _dumps
 
 
 class _Analysis:
@@ -60,25 +64,20 @@ def classification_report(an, step):
 
 
 def constraint_entries(cons, classes=None):
-    """Report entries of constraints with coefficient vectors of one length;
-    each coefficient stack is converted in one ``float_rows`` call."""
-    if not cons:
-        return []
-    p_rows = float_rows([c.p_coeffs for c in cons])
-    x_rows = float_rows([c.x_coeffs for c in cons])
+    """Report entries of constraints, holding their coefficient arrays."""
     entries = []
-    for c, tag, p, x in zip(cons, classes or repeat("unresolved"), p_rows, x_rows):
+    for c, tag in zip(cons, classes or repeat("unresolved")):
         entry = {
             "step": list(c.steps) if len(c.steps) == 2 else c.steps[0],
             "kind": c.kind,
             "source_type": c.source_type,
             "class": tag,
-            "p_coeffs": p,
-            "x_coeffs": x,
+            "p_coeffs": c.p_coeffs,
+            "x_coeffs": c.x_coeffs,
             "trivial": bool(c.trivial),
         }
         if c.x_coeffs_other is not None:
-            entry["x_coeffs_other"] = float_rows(c.x_coeffs_other)
+            entry["x_coeffs_other"] = c.x_coeffs_other
         if c.multiplier_terms:
             entry["multiplier_terms"] = [[name, float(v)] for name, v in c.multiplier_terms]
         entries.append(entry)
@@ -92,7 +91,7 @@ def constraints_report(an, step):
     return {
         "step": step,
         "constraints": constraint_entries(table.constraints, table.class_split),
-        "brackets": float_rows(table.brackets),
+        "brackets": table.brackets,
         "m_lambda_rho": table.m_lambda_rho,
         "all_first_class": bool(table.all_first_class),
     }
@@ -124,11 +123,11 @@ def effective_section(an, from_step, to_step):
     section = {
         "from": from_step,
         "to": to_step,
-        "a_eff": float_rows(eff.a),
-        "b_eff": float_rows(eff.b),
-        "c_eff": float_rows(eff.c),
+        "a_eff": eff.a,
+        "b_eff": eff.b,
+        "c_eff": eff.c,
         "multipliers": [
-            {"type": rec.source_type, "step": rec.step, "row": float_rows(rec.row)}
+            {"type": rec.source_type, "step": rec.step, "row": rec.row}
             for rec in eff.multipliers
         ],
         "constraints": constraint_entries(cons),
@@ -151,10 +150,10 @@ def kernel_summary(kernel):
         "continuous_phase": float(kernel.continuous_phase),
         "delta_count": int(kernel.deltas.shape[0]),
         "delta_labels": list(kernel.delta_labels),
-        "A": float_rows(kernel.A),
-        "B": float_rows(kernel.B),
-        "C": float_rows(kernel.C),
-        "deltas": float_rows(kernel.deltas),
+        "A": kernel.A,
+        "B": kernel.B,
+        "C": kernel.C,
+        "deltas": kernel.deltas,
     }
 
 
@@ -210,6 +209,13 @@ def quantum_section(an, from_step, to_step):
 
 
 def full_report(seq, tol=DEFAULT_TOL, overrides=None):
+    """The report as plain dicts, lists, strings and numbers: every matrix
+    and vector is ``float_rows`` of its array."""
+    return _as_lists(_report_tree(seq, tol, overrides))
+
+
+def _report_tree(seq, tol=DEFAULT_TOL, overrides=None):
+    """The full report, holding the arrays of its sections."""
     an = _Analysis(seq, tol, overrides)
     report = {
         "Q": seq.dim,
@@ -230,7 +236,8 @@ def full_report(seq, tol=DEFAULT_TOL, overrides=None):
 
 
 def report_to_json(report) -> str:
-    return dumps_indented(report, sort_keys=True)
+    """The JSON text of a report, plain or holding float64 arrays."""
+    return _dumps(report, sort_keys=True)
 
 
 def report_from_json(text: str):
@@ -304,8 +311,8 @@ def render_text(report) -> str:
             )
     if "effective" in report:
         sec = report["effective"]
-        a = np.abs(np.asarray(sec["a_eff"])).max() if sec["a_eff"] else 0.0
-        c = np.abs(np.asarray(sec["c_eff"])).max() if sec["c_eff"] else 0.0
+        a = np.abs(np.asarray(sec["a_eff"])).max() if len(sec["a_eff"]) else 0.0
+        c = np.abs(np.asarray(sec["c_eff"])).max() if len(sec["c_eff"]) else 0.0
         lines.append(
             f"effective {sec['from']}->{sec['to']}: |a~|max = {a:.3g}, |c~|max = {c:.3g}, "
             f"{len(sec['multipliers'])} multipliers, {len(sec['constraints'])} constraints"

@@ -1,21 +1,25 @@
 """Move-file and report serialization.
 
-``dumps_indented`` is the one place that writes indented JSON text: the
-report (``reporting.report_to_json``), move files (``save_sequence``) and
-``canonkit evolve --format json`` all go through it.  Its contract is the
-stdlib's ``indent=1`` layout byte for byte: it returns exactly
-``json.dumps(obj, indent=1, sort_keys=sort_keys)``.
+One writer lays out all indented JSON text in the stdlib's ``indent=1``
+layout, byte for byte.  Its public entry, ``dumps_indented``, returns
+exactly ``json.dumps(obj, indent=1, sort_keys=sort_keys)`` and, like it,
+rejects an ndarray.  Its private entry, ``_dumps``, also reads 1-D and 2-D
+float64 arrays as their ``tolist()``: the CLI's reports (through
+``reporting.report_to_json``), ``canonkit evolve --format json`` and move
+files (``save_sequence``) are written straight from the arrays, so no
+Python float is made for them.  ``reporting.full_report`` and
+``sequence_to_dict`` return the same trees in plain form, lists in place
+of the arrays, converted by ``float_rows``.
 
-Almost every number it writes is an exact zero, and most rows repeat: a
+Almost every number written is an exact zero, and most rows repeat: a
 time-varying discretization lives in one space of Q = 8N - 4 zero-padded
 slots, so 99.7 % of the 1.15 million floats in the N = 16 square report
 are +-0.0, and its 8,488 float rows hold only 579 distinct (bit pattern,
-depth) pairs.  Lists whose items are all exact ``float``s therefore take
-their own path: within one ``dumps_indented`` call each distinct row is
-formatted once, and in that one pass only the entries with a nonzero bit
-pattern (-0.0 included) go through ``float.__repr__``.  ``float_rows``
-turns arrays into such lists, with one shared +0.0 object for each
-all-zero row.
+depth) pairs.  Within one call each distinct row, an array row or a list
+of exact ``float``s, is formatted once, from its bytes, and in that one
+pass only the entries with a nonzero bit pattern (-0.0 included) go
+through ``float.__repr__``.  ``float_rows`` likewise converts each
+distinct row once, with one shared +0.0 object for each all-zero row.
 
 Move files are JSON:
 
@@ -52,9 +56,9 @@ def dumps_indented(obj, sort_keys: bool = False) -> str:
     With ``indent`` set, CPython's ``json`` runs its pure-Python encoder on
     every value.  This writer lays out the nested dicts and lists itself.
     A list or tuple whose items are all exact ``float``s (the matrix rows
-    and vectors of reports and move files, nearly all zeros) is written by
-    ``_float_row``, which formats each distinct row once per call, and
-    only its nonzero entries; rows of zeros share one text.  Every other
+    and vectors of plain reports and move files, nearly all zeros) is
+    written by ``_float_row``, which formats each distinct row once per
+    call, and only its nonzero entries; rows of zeros share one text.  Every other
     dict or list that holds no dict, list or tuple goes to the stdlib's
     compact encoder in one call, which runs in C where the interpreter has
     the speedups, and a lone ``str``, ``int``, ``float``, ``bool`` or
@@ -63,9 +67,17 @@ def dumps_indented(obj, sort_keys: bool = False) -> str:
     Python encoder does.  Input is a tree: a cycle raises
     ``RecursionError`` where ``json.dumps`` raises ``ValueError``.
     """
+    return _dumps(obj, sort_keys, arrays=False)
+
+
+def _dumps(obj, sort_keys: bool = False, arrays: bool = True) -> str:
+    """``dumps_indented``; with ``arrays``, of ``obj`` with every ndarray in
+    it read as its ``tolist()``.  Only 1-D and 2-D float64 arrays are read,
+    each row from its bytes, so no Python float is made for it; any other
+    array raises ``TypeError``."""
     chunks = []
     try:
-        _write(obj, 0, sort_keys, chunks.append)
+        _write(obj, 0, sort_keys, chunks.append, arrays)
     finally:
         _ROW_TEXTS.clear()
     return "".join(chunks)
@@ -96,39 +108,104 @@ _SCALAR_TEXT = {
     type(None): lambda v: "null",
 }
 
-# row text by (bit pattern, depth); dumps_indented empties it when it
-# returns or raises, so no pass over a report can reuse another's work.  A
+# row text by (bit pattern, depth); _dumps empties it when it returns or
+# raises, so no pass over a report can reuse another's work.  A
 # text is keyed by its content, so calls that overlap in time can only
 # share right answers.
 _ROW_TEXTS = {}
 
 
-def _float_row(row, depth: int) -> str:
-    """The text of a non-empty list or tuple of exact floats at ``depth``."""
-    values = array("d", row)
-    key = (values.tobytes(), depth)
+def _row_text(data: bytes, depth: int) -> str:
+    """The text at ``depth`` of the non-empty float64 row whose bytes are
+    ``data``, formatted once per call: only the entries with a nonzero bit
+    pattern (-0.0 included) go through ``float.__repr__``."""
+    key = (data, depth)
     text = _ROW_TEXTS.get(key)
     if text is None:
-        pieces = ["0.0"] * len(row)
-        for i in np.flatnonzero(np.frombuffer(values, dtype=np.int64)).tolist():
-            pieces[i] = _float_text(row[i])
+        values = np.frombuffer(data)
+        pieces = ["0.0"] * len(values)
+        nonzero = np.flatnonzero(values.view(np.int64))
+        for i, value in zip(nonzero.tolist(), values[nonzero].tolist()):
+            pieces[i] = _float_text(value)
         inner = "\n" + " " * (depth + 1)
         text = "[" + inner + ("," + inner).join(pieces) + "\n" + " " * depth + "]"
         _ROW_TEXTS[key] = text
     return text
 
 
+def _float_row(row, depth: int) -> str:
+    """The text of a non-empty list or tuple of exact floats at ``depth``."""
+    return _row_text(array("d", row).tobytes(), depth)
+
+
+def _write_array(a: np.ndarray, depth: int, emit) -> None:
+    """Write ``a.tolist()`` at ``depth`` for a 1-D or 2-D float64 array of
+    any layout; its rows are read in C order from its bytes."""
+    if a.dtype != np.float64 or a.ndim not in (1, 2):
+        raise TypeError(f"only 1-D and 2-D float64 arrays are written, "
+                        f"not a {a.ndim}-D array of {a.dtype}")
+    if not len(a):
+        emit("[]")
+    elif a.ndim == 1:
+        emit(_row_text(a.tobytes(), depth))
+    else:
+        n, k = a.shape
+        data, width = a.tobytes(), 8 * k
+        inner = "\n" + " " * (depth + 1)
+        sep = "[" + inner
+        for i in range(n):
+            emit(sep)
+            emit(_row_text(data[i * width:(i + 1) * width], depth + 1) if k else "[]")
+            sep = "," + inner
+        emit("\n" + " " * depth + "]")
+
+
 def float_rows(a) -> list:
     """``a.tolist()`` for a 1-D or 2-D float array, in value and bit pattern.
     Each all-+0.0 row is ``[0.0] * n``, which holds one float object, not n;
-    only the other rows (-0.0 included) are converted."""
+    the other rows (-0.0 included) are converted once per bit pattern, and
+    rows with one pattern share their float objects, not their lists."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return float_rows(a[None])[0]
     n = a.shape[1]
+    if not n:
+        return [[] for _ in range(len(a))]
     nonzero = np.ascontiguousarray(a).view(np.int64).any(axis=1)
-    converted = iter(a[nonzero].tolist())
+    data, width, lists, converted = a[nonzero].tobytes(), 8 * n, {}, []
+    for i in range(0, len(data), width):
+        key = data[i:i + width]
+        row = lists.get(key)
+        if row is None:
+            row = lists[key] = np.frombuffer(key).tolist()
+        converted.append(row[:])
+    converted = iter(converted)
     return [next(converted) if nz else [0.0] * n for nz in nonzero.tolist()]
+
+
+def _as_lists(tree):
+    """``tree``, a fresh tree of dicts and lists, with every ndarray in it
+    replaced in place by its ``float_rows``: the plain form of a tree that
+    ``_dumps`` writes.  The 1-D arrays of one length are converted together,
+    in one call."""
+    vectors = {}    # length -> [(container, key)]
+
+    def visit(node):
+        for key, value in (node.items() if type(node) is dict else enumerate(node)):
+            kind = type(value)
+            if kind is np.ndarray:
+                if value.ndim == 1:
+                    vectors.setdefault(len(value), []).append((node, key))
+                else:
+                    node[key] = float_rows(value)
+            elif kind is dict or kind is list:
+                visit(value)
+
+    visit(tree)
+    for group in vectors.values():
+        for (node, key), row in zip(group, float_rows([node[key] for node, key in group])):
+            node[key] = row
+    return tree
 
 
 def _key(k) -> str:
@@ -139,7 +216,11 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def _write(o, depth: int, sort_keys: bool, emit) -> None:
+# the kinds of item that a dict or list is laid out around, by mode
+_NESTED = {False: _CONTAINERS, True: _CONTAINERS + (np.ndarray,)}
+
+
+def _write(o, depth: int, sort_keys: bool, emit, arrays: bool) -> None:
     if isinstance(o, dict):
         kinds = set(map(type, o.values()))
     elif isinstance(o, (list, tuple)):
@@ -147,13 +228,16 @@ def _write(o, depth: int, sort_keys: bool, emit) -> None:
         if kinds == {float}:
             emit(_float_row(o, depth))
             return
+    elif arrays and type(o) is np.ndarray:
+        _write_array(o, depth, emit)
+        return
     else:
         scalar = _SCALAR_TEXT.get(type(o))
         if scalar is not None:
             emit(scalar(o))
             return
         kinds = ()
-    if not any(issubclass(t, _CONTAINERS) for t in kinds):
+    if not any(issubclass(t, _NESTED[arrays]) for t in kinds):
         text = _leaf_encoder(depth, sort_keys)(o)
         if isinstance(o, _CONTAINERS) and o:
             text = text[0] + "\n" + " " * (depth + 1) + text[1:-1] + "\n" + " " * depth + text[-1]
@@ -168,23 +252,34 @@ def _write(o, depth: int, sort_keys: bool, emit) -> None:
         brackets = "[]"
     inner = "\n" + " " * (depth + 1)
     sep = brackets[0] + inner
+    # scalar and array items are written here, without a call of _write;
+    # row texts are emitted as they are, so repeated rows share one string
     for prefix, value in pairs:
-        emit(sep + prefix)
-        _write(value, depth + 1, sort_keys, emit)
+        scalar = _SCALAR_TEXT.get(type(value))
+        if scalar is not None:
+            emit(sep + prefix + scalar(value))
+        elif arrays and type(value) is np.ndarray:
+            emit(sep + prefix)
+            _write_array(value, depth + 1, emit)
+        else:
+            emit(sep + prefix)
+            _write(value, depth + 1, sort_keys, emit, arrays)
         sep = "," + inner
     emit("\n" + " " * depth + brackets[1])
 
 
-def sequence_to_dict(seq: MoveSequence) -> dict:
+def _sequence_tree(seq: MoveSequence) -> dict:
+    """The move file of ``seq``, holding the moves' own matrices."""
     return {
         "Q": seq.dim,
         "hbar": seq.hbar,
-        "moves": [
-            {"n": m.step_to, "a": float_rows(m.a), "b": float_rows(m.b), "c": float_rows(m.c)}
-            for m in seq.moves
-        ],
+        "moves": [{"n": m.step_to, "a": m.a, "b": m.b, "c": m.c} for m in seq.moves],
         "slot_maps": {str(k): v for k, v in seq.slot_maps.items()},
     }
+
+
+def sequence_to_dict(seq: MoveSequence) -> dict:
+    return _as_lists(_sequence_tree(seq))
 
 
 def _integer(value, what: str) -> int:
@@ -240,7 +335,7 @@ def sequence_from_dict(data: dict) -> MoveSequence:
 
 
 def save_sequence(seq: MoveSequence, path) -> None:
-    Path(path).write_text(dumps_indented(sequence_to_dict(seq)), encoding="utf-8")
+    Path(path).write_text(_dumps(_sequence_tree(seq)), encoding="utf-8")
 
 
 def _read_json(path):

@@ -169,3 +169,41 @@ def test_boundary_solve_rejects_non_finite_configurations(bad):
     for x0, x2 in (([bad], [2.0]), ([1.0], [bad])):
         with pytest.raises(InputError, match="finite"):
             boundary_solve(M1, M2, B1, x0, x2)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("part", ["p", "x"])
+@pytest.mark.parametrize("n_cons", [1, 2])
+def test_project_physical_rejects_non_finite_coefficients(bad, part, n_cons):
+    coeffs = {"p": (1.0,), "x": (0.0,), part: (bad,)}
+    cons = [constraint(1, p=(1.0,))] * (n_cons - 1) + [constraint(1, **coeffs)]
+    with pytest.raises(InputError, match="finite"):
+        project_physical(state(step=1), cons, "post")
+
+
+# (side, step, x_coeffs_other, part): one-step and boundary-data constraints
+# at each end of K1 = 0 -> 1, with each of their coefficient arrays made bad
+ANNIHILATION_CASES = [(side, step, other, part)
+                      for side, step, other in [("post", 1, None), ("pre", 0, None),
+                                                ("post", (1, 0), (0.0,)), ("pre", (0, 1), (0.0,))]
+                      for part in ("p", "x", "other")[:2 if other is None else 3]]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("side, step, other, part", ANNIHILATION_CASES)
+def test_check_annihilation_rejects_non_finite_coefficients(bad, side, step, other, part):
+    coeffs = {"p": (1.0,), "x": (0.0,), "other": other}
+    assert check_annihilation(K1, constraint(step, **coeffs), side) in (True, False)
+    coeffs[part] = (bad,)
+    with pytest.raises(InputError, match="finite"):
+        check_annihilation(K1, constraint(step, **coeffs), side)
+
+
+def test_project_physical_rejects_a_set_of_mixed_lengths():
+    # checked before the brackets of the set, which need one length
+    cons = [constraint(1), constraint(1, p=(1.0, 0.0), x=(0.0, 0.0))]
+    with pytest.raises(InputError, match="dimension mismatch"):
+        project_physical(state(step=1), cons, "post")
