@@ -27,8 +27,16 @@ Move files are JSON:
      "moves": [{"n": int, "a": [[...]], "b": [[...]], "c": [[...]]}, ...]}
 
 with row-major matrices and ``n`` the arrival step of each move (the move
-runs n-1 -> n); the steps are consecutive increasing integers.  repr-style
-float formatting keeps numbers round-trippable as IEEE doubles.  Basis files map steps to explicit row bases:
+runs n-1 -> n); the steps are consecutive increasing integers, and ``hbar``
+and every matrix entry are numbers.  repr-style float formatting keeps
+numbers round-trippable as IEEE doubles.
+
+``load_sequence`` reads the matrices of a file in the writer's own layout
+from its bytes, checking every line against the layout with vectorised
+tests and parsing only the elements that are not exactly ``0.0``; the rest
+of the file, and every other file whole, goes to ``json.loads``.
+
+Basis files map steps to explicit row bases:
 
     {"bases": [{"step": int, "T": [[...]]}, ...]}
 """
@@ -36,7 +44,9 @@ float formatting keeps numbers round-trippable as IEEE doubles.  Basis files map
 from __future__ import annotations
 
 import functools
+import io
 import json
+import re
 from array import array
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -294,13 +304,17 @@ def _integer(value, what: str) -> int:
 def sequence_from_dict(data: dict) -> MoveSequence:
     """The move sequence of a parsed move file.  The arrival steps ``n`` must
     be consecutive increasing integers; a gap, a repeat or a fractional step
-    is an InputError, and so is a ``slot_maps`` entry that is not a step of
-    the sequence mapped to a list of distinct integer slots in 0..Q-1."""
+    is an InputError, and so are an ``hbar`` or a matrix entry that is not a
+    number and a ``slot_maps`` entry that is not a step of the sequence
+    mapped to a list of distinct integer slots in 0..Q-1."""
     try:
         q = _integer(data["Q"], "Q")
-        hbar = float(data.get("hbar", 1.0))
+        hbar = data.get("hbar", 1.0)
+        if isinstance(hbar, bool) or not isinstance(hbar, (int, float)):
+            raise InputError(f"hbar must be a number, not {hbar!r}")
+        hbar = float(hbar)
         raw_moves = data["moves"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed move file: {exc}") from exc
     if not isinstance(raw_moves, list) or not raw_moves:
         raise InputError("move file must contain a non-empty 'moves' list")
@@ -308,11 +322,11 @@ def sequence_from_dict(data: dict) -> MoveSequence:
     for entry in raw_moves:
         try:
             n = _integer(entry["n"], "move step n")
-            a = np.asarray(entry["a"], dtype=float)
-            b = np.asarray(entry["b"], dtype=float)
-            c = np.asarray(entry["c"], dtype=float)
+            a, b, c = (np.asarray(entry[key]) for key in "abc")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed move entry: {exc}") from exc
+        if any(m.dtype.kind not in "iuf" for m in (a, b, c)):
+            raise InputError(f"move {n}: matrix entries must be numbers")
         if moves and n != moves[-1].step_to + 1:
             raise InputError(f"move steps must be consecutive increasing integers: "
                              f"{moves[-1].step_to} is followed by {n}")
@@ -338,20 +352,122 @@ def save_sequence(seq: MoveSequence, path) -> None:
     Path(path).write_text(_dumps(_sequence_tree(seq)), encoding="utf-8")
 
 
-def _read_json(path):
-    """The parsed JSON content of a file; a missing file or malformed JSON
-    is an InputError."""
+def _read_bytes(path) -> bytes:
+    """The bytes of a file; a missing or unreadable file is an InputError."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _parse_json(path, data: bytes):
+    """The parsed JSON text of the file ``path`` whose bytes are ``data``,
+    read as UTF-8 with universal newlines, as ``Path.read_text`` reads it;
+    bytes that are not UTF-8 or text that is not JSON is an InputError."""
+    try:
+        return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _read_json(path):
+    return _parse_json(path, _read_bytes(path))
+
+
+# The writer's layout of a matrix value in a move file: its key line at
+# indent 3, each row's brackets at indent 4, one element a line at indent 5,
+# and its closing bracket at indent 3.
+_MATRIX_KEY = re.compile(rb'\n   "[abc]": \[\n')
+# a JSON number with a fraction or an exponent, which json.loads reads with
+# float(); an integer goes to json.loads, which reads it as an int
+_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+# the first bytes of a row's opening line, an element line and its closing
+# line, and a whole 0.0 line, as little-endian words
+_OPEN, _ELEMENT, _CLOSE, _ZERO = (int.from_bytes(text, "little")
+                                  for text in (b"    [", b"     ", b"    ]", b"     0.0"))
+
+
+def _layout_matrix(data: bytes, start: int, stop: int, q: int):
+    """The q x q float64 matrix whose rows are the lines ``data[start:stop]``
+    in the writer's layout, or None.  Only the element lines that are not
+    exactly ``0.0`` are parsed, one by one."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8, stop - start, start) == 10) + start
+    if len(ends) != q * (q + 2):
+        return None
+    # each row is an opening line, q element lines and a closing line
+    comma = np.zeros((q, q + 2), bool)
+    comma[:, 1:q] = comma[:-1, -1] = True
+    starts = np.concatenate(([start], ends[:-1] + 1)).reshape(q, q + 2)
+    size = (ends.reshape(q, q + 2) - starts) - comma - 5    # after the indent, without the comma
+    if (size[:, [0, -1]] != 0).any() or (size[:, 1:-1] < 1).any():
+        return None
+    head = np.array([_OPEN] + [_ELEMENT] * q + [_CLOSE], np.uint64)
+    lines = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))[starts]    # 8 bytes of each
+    if not (((lines & (1 << 40) - 1) == head).all()
+            and ((np.frombuffer(data, np.uint8)[ends - 1] == ord(",")) == comma.ravel()).all()):
+        return None
+    starts, size = starts[:, 1:-1].ravel(), size[:, 1:-1].ravel()
+    rest = np.flatnonzero((lines[:, 1:-1].ravel() != _ZERO) | (size != 3))
+    texts = [data[i:i + k] for i, k in zip((starts[rest] + 5).tolist(), size[rest].tolist())]
+    if not all(map(_FLOAT.fullmatch, texts)):
+        return None
+    matrix = np.zeros(q * q)
+    matrix[rest] = list(map(float, texts))
+    return matrix.reshape(q, q)
+
+
+def _layout_tree(data: bytes):
+    """The parsed move file whose bytes are ``data``, its matrices in the
+    writer's layout read by ``_layout_matrix``, or None when it starts with
+    no such matrix or might not read as ``json.loads`` reads it.  Each
+    matrix is cut out for a placeholder string, the rest goes to
+    ``json.loads``, and the matrices go back in place of their placeholders
+    at ``moves[i]["a"]``, ``["b"]`` and ``["c"]``; a placeholder anywhere
+    else, or lost to a repeated key, sends the file back to ``json.loads``."""
+    pieces, matrices, at = [], {}, 0
+    # the writer puts a matrix at most a move's "n" line after the last one
+    # (or the head of the file), so the search stops 4 KiB on
+    while (key := _MATRIX_KEY.search(data, at, at + 4096)) is not None:
+        start = key.end()
+        # the first row: its opening line and q element lines end in a newline
+        q = data.count(b"\n", start, data.find(b"\n    ]", start) + 1) - 1
+        # each of the q (q + 2) lines holds at least 6 bytes, its newline
+        # included, so the closing line "   ]" starts no earlier than this
+        stop = data.find(b"\n   ]", start + 6 * q * (q + 2) - 1) + 1
+        matrix = _layout_matrix(data, start, stop, q) if q > 0 and stop else None
+        if matrix is None:
+            return None
+        pieces += [data[at:start - 2], b'"\\u0000%d"' % len(matrices)]
+        matrices["\x00%d" % len(matrices)] = matrix
+        at = stop + 4
+    if not matrices:
+        return None
+    try:
+        text = b"".join(pieces + [data[at:]]).decode("utf-8")
+        # a \u0000 in the file itself could read as a placeholder
+        tree = json.loads(text) if text.count("\\u0000") == len(matrices) else None
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    moves = tree.get("moves") if isinstance(tree, dict) else None
+    for entry in moves if isinstance(moves, list) else ():
+        for key in "abc" if isinstance(entry, dict) else ():
+            value = entry.get(key)
+            if isinstance(value, str) and value in matrices:
+                entry[key] = matrices.pop(value)
+    return None if matrices else tree
+
+
 def load_sequence(path) -> MoveSequence:
-    return sequence_from_dict(_read_json(path))
+    """The move sequence of a move file.  A file in the writer's own layout
+    has its matrices read from the bytes at array speed; any other file, and
+    every malformed one, is read by ``json.loads``, and both are checked by
+    ``sequence_from_dict``."""
+    data = _read_bytes(path)
+    tree = _layout_tree(data)
+    return sequence_from_dict(_parse_json(path, data) if tree is None else tree)
 
 
 def load_bases(path, dim: int) -> dict:

@@ -540,3 +540,47 @@ def test_slot_maps_name_steps_and_distinct_slots_exit_2(tmp_path, capsys, slot_m
     assert main(["report", "--input", str(moves)]) == 2
     assert "input error" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("bad", ["directory", "utf-16 mark", "byte in layout"])
+@pytest.mark.parametrize("option", ["--input", "--basis"])
+def test_directory_or_non_utf8_file_exit_2(fixture_files, tmp_path, capsys, bad, option):
+    moves, bases = fixture_files
+    files = {"--input": moves, "--basis": bases}
+    path = tmp_path / "bad.json"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "utf-16 mark":
+        path.write_bytes(b"\xff\xfe" + files[option].read_bytes())
+    else:   # a file in the writer's layout but for one byte that is not UTF-8
+        path.write_bytes(files[option].read_bytes().replace(b'"', b'"\xff', 1))
+    files[option] = path
+    capsys.readouterr()
+    assert main(["report", "--input", str(files["--input"]), "--basis", str(files["--basis"])]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+@pytest.mark.parametrize("hbar, message", [
+    ("2", "hbar must be a number"),
+    (True, "hbar must be a number"),
+    (10**400, "malformed move file: int too large"),
+])
+def test_non_numeric_hbar_exit_2(fixture_files, capsys, hbar, message):
+    moves, _ = fixture_files
+    data = json.loads(moves.read_text())
+    data["hbar"] = hbar
+    moves.write_text(json.dumps(data, indent=1))
+    capsys.readouterr()
+    assert main(["report", "--input", str(moves)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_string_matrix_entry_exit_2(fixture_files, capsys, indent):
+    moves, _ = fixture_files
+    data = json.loads(moves.read_text())
+    data["moves"][1]["c"][0][0] = "0.5"
+    moves.write_text(json.dumps(data, indent=indent))
+    capsys.readouterr()
+    assert main(["report", "--input", str(moves)]) == 2
+    assert capsys.readouterr().err.startswith("input error: move 2: matrix entries must be numbers")
