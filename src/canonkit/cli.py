@@ -167,9 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="move file (JSON)")
+    def common(p):
+        p.add_argument("--input", required=True, help="move file (JSON)")
         p.add_argument("--tol", type=float, default=None, help="rank tolerance")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--basis", default=None, help="basis override file")

@@ -9,6 +9,7 @@ L, R then brackets to L·h·R.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -92,11 +93,25 @@ def primary_constraints(move_prev, move_next, basis: ClassifiedBasis) -> list:
         sides.append(("pre", basis.left_rows, move_next.a, 1.0))
     out = []
     for kind, rows, hess, sign in sides:
-        x = sign * _row_products(hess, basis.T, rows)
-        out.extend(LinearConstraint(step=basis.step, kind=kind, p_coeffs=basis.T[k],
-                                    x_coeffs=x[i], source_type=basis.labels[k])
-                   for i, k in enumerate(rows.tolist()))
+        ks = rows.tolist()
+        out += _rows(basis.step, kind, [basis.labels[k] for k in ks],
+                     sign * _row_products(hess, basis.T, rows), p=(basis.T[k] for k in ks))
     return out
+
+
+def _rows(step, kind, labels, x, far=None, p=None, cut=None) -> list:
+    """One ``LinearConstraint`` per row of x (and far and p; zero momenta
+    without p).  Given a ``cut``, the rows whose x and far entries all lie
+    within it are flagged trivial, in one test for the group."""
+    if not len(x):
+        return []
+    trivial = repeat(False)
+    if cut is not None:
+        both = x if far is None else np.concatenate((x, far), axis=1)
+        trivial = (np.abs(both).max(axis=1) <= cut).tolist()
+    return [LinearConstraint(step, kind, *row) for row in
+            zip(repeat(np.zeros(x.shape[1])) if p is None else p, x,
+                repeat(None) if far is None else far, labels, trivial)]
 
 
 def _row_products(m, t, rows) -> np.ndarray:
@@ -140,6 +155,26 @@ class BracketTable:
         return all(tag == "first" for tag in self.class_split)
 
 
+def _stacked(constraints):
+    """(stack, Q): row i of the stack is constraint i's p, its x at its own
+    (first) step and, when some constraint has one, its far-step x or
+    zeros.  A non-finite coefficient is an InputError."""
+    constraints = list(constraints)
+    if not constraints:
+        return np.zeros((0, 0)), 0
+    q = constraints[0].p_coeffs.size
+    far = [k for k, c in enumerate(constraints) if c.x_coeffs_other is not None]
+    # zeros, then fill: a vstack raised peak RSS ~8 MB via glibc's mmap threshold
+    stack = np.zeros((len(constraints), (3 if far else 2) * q))
+    stack[:, :q] = [c.p_coeffs for c in constraints]
+    stack[:, q : 2 * q] = [c.x_coeffs for c in constraints]
+    if far:
+        stack[far, 2 * q :] = [constraints[k].x_coeffs_other for k in far]
+    if not np.isfinite(stack).all():
+        raise InputError("constraint coefficients must be finite")
+    return stack, q
+
+
 def bracket_matrix(constraints) -> np.ndarray:
     """Brackets of constraints that share one step, in one matrix product.
 
@@ -147,10 +182,12 @@ def bracket_matrix(constraints) -> np.ndarray:
     ``M - Mᵀ``: entry (i, j) is x_i·p_j - x_j·p_i, exactly antisymmetric
     with a zero diagonal.  The caller ensures the shared step.
     """
-    cons = list(constraints)
-    if not cons:
-        return np.zeros((0, 0))
-    m = np.stack([c.x_coeffs for c in cons]) @ np.stack([c.p_coeffs for c in cons]).T
+    return _brackets(*_stacked(constraints))
+
+
+def _brackets(stack, q):
+    """``bracket_matrix`` of a ``_stacked`` set."""
+    m = stack[:, q:2 * q] @ stack[:, :q].T
     return m - m.T
 
 
@@ -162,20 +199,20 @@ def bracket_table(constraints, h, basis: ClassifiedBasis, tol: float = DEFAULT_T
     sets with boundary-data or mixed-step constraints go pair by pair through
     ``poisson_bracket``.  A plain float ``tol`` is measured against the
     scale of ``h``, or of the largest |x coefficient| when ``h`` is None.
+    A non-finite coefficient is an InputError on either path.
     """
     constraints = tuple(constraints)
-    tol = with_scale(tol, h) if h is not None else with_scale(tol, *_x_parts(constraints))
+    stack, q = _stacked(constraints)
+    tol = with_scale(tol, h if h is not None else stack[:, q:])
     n = len(constraints)
     steps = [c.step for c in constraints]
     if not any(isinstance(s, (tuple, list)) for s in steps) and len(set(steps)) <= 1:
-        table = bracket_matrix(constraints)
+        table = _brackets(stack, q)
     else:
         table = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = poisson_bracket(constraints[i], constraints[j])
-                table[i, j] = val
-                table[j, i] = -val
+        for i, j in combinations(range(n), 2):
+            val = table[i, j] = poisson_bracket(constraints[i], constraints[j])
+            table[j, i] = -val
     row_max = np.abs(table).max(axis=1) if n else np.zeros(0)
     cut = zero_cut(tol, n, row_max.max() if n else 0.0)
     tags = tuple("first" if r <= cut else "second" for r in row_max)
@@ -196,58 +233,23 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
         raise InputError("secondary constraints need both moves")
     if move_prev.step_to != basis.step or move_next.step_from != basis.step:
         raise InputError("basis step must sit between the two moves")
-    q = basis.dim
-    zeros = np.zeros(q)
-    cut = zero_cut(moves_tolerance(tol, move_prev, move_next), q)
-
-    def is_trivial(*vecs):
-        return all(np.abs(v).max() <= cut for v in vecs)
-
+    cut = zero_cut(moves_tolerance(tol, move_prev, move_next), basis.dim)
     sides = (("l", "holonomic_left", move_prev.step_from, move_prev.c),
              ("r", "holonomic_right", move_next.step_to, move_next.c.T))
     out = []
     for label, kind, step, cross in sides:
-        for coeffs in _row_products(cross, basis.T, basis.rows_of(label)):
-            out.append(LinearConstraint(step=step, kind=kind, p_coeffs=zeros, x_coeffs=coeffs,
-                                        source_type=label, trivial=is_trivial(coeffs)))
-    z = basis.rows_of("z")
-    for first, second in zip(*(_row_products(cross, basis.T, z) for *_, cross in sides)):
-        out.append(
-            LinearConstraint(
-                step=(move_prev.step_from, move_next.step_to),
-                kind="boundary_data",
-                p_coeffs=zeros,
-                x_coeffs=first,
-                x_coeffs_other=second,
-                source_type="z",
-                trivial=is_trivial(first, second),
-            )
-        )
-    return out
-
-
-def _x_parts(constraints):
-    """Every configuration coefficient vector of a set, near and far step."""
-    return [x for c in constraints for x in (c.x_coeffs, c.x_coeffs_other) if x is not None]
+        out += _rows(step, kind, repeat(label), _row_products(cross, basis.T, basis.rows_of(label)),
+                     cut=cut)
+    near, far = (_row_products(cross, basis.T, basis.rows_of("z")) for *_, cross in sides)
+    return out + _rows((move_prev.step_from, move_next.step_to), "boundary_data", repeat("z"),
+                       near, far, cut=cut)
 
 
 def independent_count(constraints, tol: float = DEFAULT_TOL) -> int:
-    """Number of linearly independent constraint functionals.
-
-    Each row is (p, x), plus the far-step x columns when some constraint
-    has them; rows without a far-step part are zero there.  p is
-    dimensionless and x carries the problem scale (the Tolerance's, or the
-    largest |x coefficient| for a plain float), so x is ranked as x/scale.
-    """
-    constraints = list(constraints)
-    if not constraints:
-        return 0
-    q = constraints[0].p_coeffs.size
-    far = [k for k, c in enumerate(constraints) if c.x_coeffs_other is not None]
-    # zeros, then fill: a vstack raised peak RSS ~8 MB via glibc's mmap threshold
-    stack = np.zeros((len(constraints), (3 if far else 2) * q))
-    stack[:, :q] = [c.p_coeffs for c in constraints]
-    stack[:, q : 2 * q] = [c.x_coeffs for c in constraints]
-    stack[far, 2 * q :] = [constraints[k].x_coeffs_other for k in far]
+    """Number of linearly independent constraint functionals: the rank of
+    their ``_stacked`` rows with every x part divided by the problem scale
+    (the Tolerance's, or the largest |x coefficient| for a plain float),
+    since p is dimensionless and x carries that scale."""
+    stack, q = _stacked(constraints)
     stack[:, q:] /= with_scale(tol, stack[:, q:]).scale or 1.0
     return numeric_rank(stack, float(tol))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import MoveSequence, QuadraticMove, moves_tolerance
 from .classify import ClassifiedBasis, classify_rows, classify_step
-from .constraints import LinearConstraint, primary_constraints, secondary_constraints
+from .constraints import LinearConstraint, _stacked, primary_constraints, secondary_constraints
 from .errors import InputError, InternalError
 from .linalg import DEFAULT_TOL, numeric_rank, zero_cut
 
@@ -117,12 +117,12 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
         if not parts or not primary:
             out.extend(primary)
             continue
-        names = [name for name, _ in parts]
-        p = np.array([con.p_coeffs for con in primary])
-        x = np.array([x for _, x in parts])
+        names, x = zip(*parts)
+        stack, q = _stacked(primary)
         # one ddot per (constraint, multiplier) pair, bit for bit float(p @ x);
         # p @ x.T would be one gemm, whose blocking changes the rounding
-        coeffs = sign * np.matmul(p[:, None, None, :], x[None, :, :, None])[:, :, 0, 0]
+        coeffs = sign * np.matmul(stack[:, None, None, :q],
+                                  np.array(x)[None, :, :, None])[:, :, 0, 0]
         for con, row, kept in zip(primary, coeffs.tolist(), (np.abs(coeffs) > cut).tolist()):
             terms = tuple(compress(zip(names, row), kept))
             out.append(LinearConstraint(con.step, con.kind, con.p_coeffs, con.x_coeffs,

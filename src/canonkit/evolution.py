@@ -264,25 +264,19 @@ def dof_report(move1: QuadraticMove, move2: QuadraticMove,
                basis_final: ClassifiedBasis, tol: float = DEFAULT_TOL) -> DofReport:
     """Count propagating observables per move and through the middle step.
 
-    Both counting routes are evaluated: 2(N_gamma + N_z + m_lambda_rho) and
-    2Q - 2 #first - #second with the class counts implied by the type
-    counts, so they agree by construction.  m_lambda_rho, a rank of the
-    (lambda, rho) block, never exceeds N_lambda or N_rho.
+    n_through is 2(N_gamma + N_z + m_lambda_rho); the class counts are
+    implied by the type counts, so 2Q - 2 #first - #second equals it by
+    construction.  m_lambda_rho, a rank of the (lambda, rho) block, never
+    exceeds N_lambda or N_rho.
     """
     if move1.step_to != basis_mid.step or move2.step_from != basis_mid.step:
         raise InputError("bases and moves are not aligned")
     h = move1.b + move2.a
-    q = basis_mid.dim
     cnt = basis_mid.counts
     m = m_lambda_rho(basis_mid, h, moves_tolerance(tol, move1, move2))
     n_through = 2 * (cnt["gamma"] + cnt["z"] + m)
     second = 2 * cnt["H"] + 2 * m
     first = cnt["I"] + cnt["l"] + cnt["r"] + cnt["lambda"] + cnt["rho"] - 2 * m
-    alt = 2 * q - 2 * first - second
-    if alt != n_through:
-        raise InternalError(
-            f"reduced-phase-space formulas disagree: {n_through} vs {alt}"
-        )
 
     n_move = {}
     for which, move, b_from, b_to in (("first", move1, basis_initial, basis_mid),

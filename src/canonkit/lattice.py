@@ -193,7 +193,6 @@ class ExpandingSquare:
     sequence: MoveSequence
     basis_t1: np.ndarray
     basis_t2: np.ndarray | None
-    validated_steps: tuple = (0, 1, 2)
 
 
 def reference_basis_t2(dim: int = 12) -> np.ndarray:

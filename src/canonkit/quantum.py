@@ -17,7 +17,7 @@ import numpy as np
 
 from .actions import QuadraticMove, moves_tolerance
 from .classify import ALPHA_TYPES, ClassifiedBasis, hessian_block
-from .constraints import bracket_matrix, independent_count
+from .constraints import _brackets, _stacked, independent_count
 from .effective import compose
 from .errors import (
     DegeneracyError,
@@ -317,23 +317,17 @@ class GaussianState:
         )
 
 
-def _check_finite_coefficients(arrays) -> None:
-    """Raise InputError unless every entry of the constraint coefficient
-    ``arrays`` (None for an absent one) is finite.  ``LinearConstraint``
-    does not check, since the library builds many."""
-    if not all(a is None or np.isfinite(a).all() for a in arrays):
-        raise InputError("constraint coefficients must be finite")
-
-
-def _abelian_or_raise(constraints, tol):
+def _abelian_or_raise(constraints, tol, stacked=None):
     """The constraints as a list; raises unless every pairwise bracket is
-    zero (``zero_cut``) against max(s_i, s_j)**2 for coefficient scales s."""
+    zero (``zero_cut``) against max(s_i, s_j)**2 for coefficient scales s;
+    ``stacked`` is the set's ``_stacked``, when the caller has it."""
     cons = list(constraints)
     if len(cons) < 2:
         return cons
-    s = np.array([max(np.abs(c.p_coeffs).max(), np.abs(c.x_coeffs).max()) for c in cons])
-    limit = zero_cut(tol, cons[0].p_coeffs.size, np.maximum.outer(s, s) ** 2)
-    if np.any(np.abs(bracket_matrix(cons)) > limit):
+    stack, q = stacked or _stacked(cons)
+    s = np.abs(stack[:, :2 * q]).max(axis=1)
+    limit = zero_cut(tol, q, np.maximum.outer(s, s) ** 2)
+    if np.any(np.abs(_brackets(stack, q)) > limit):
         raise InputError("projector requires an abelian constraint set")
     return cons
 
@@ -376,18 +370,17 @@ def project_physical(state: GaussianState, constraints, side: str,
             raise InputError("constraints must live at the state's step")
         if c.p_coeffs.size != q:
             raise InputError("constraint dimension mismatch")
-    u = np.stack([c.p_coeffs for c in cons], axis=1)     # (Q, N)
-    v = np.stack([c.x_coeffs for c in cons], axis=1)
-    _check_finite_coefficients([u, v])
-    _abelian_or_raise(cons, tol)
-    n = u.shape[1]
+    stacked = _stacked(cons)
+    _abelian_or_raise(cons, tol, stacked)
+    # (Q, N) each, fresh C-ordered copies: BLAS rounds by layout and alignment
+    u, v = (stacked[0][:, k * q:(k + 1) * q].T.copy() for k in (0, 1))
     hbar = state.hbar
 
     g = u.T @ state.M @ u + 0.5 * (u.T @ v + v.T @ u)
     w_mat = u.T @ state.M + v.T                          # theta(x) = w_mat x + w0
     w0 = u.T @ state.j
     m_new, j_new, amp = _gaussian_integral(g, w_mat, w0, state.M, state.j, state.amplitude,
-                                           -0.5 * n * np.log(TWO_PI * hbar), hbar, tol,
+                                           -0.5 * len(cons) * np.log(TWO_PI * hbar), hbar, tol,
                                            "group averaging")
     return GaussianState(step=state.step, hbar=hbar, amplitude=amp,
                          M=0.5 * (m_new + m_new.T), j=j_new)
@@ -451,8 +444,7 @@ def check_annihilation(kernel: GaussianDeltaKernel, constraint, side: str,
     """
     if side not in ("pre", "post"):
         raise InputError("side must be 'pre' or 'post'")
-    _check_finite_coefficients([constraint.p_coeffs, constraint.x_coeffs,
-                                constraint.x_coeffs_other])
+    _stacked([constraint])      # raises on a non-finite coefficient
     p = constraint.p_coeffs
     if side == "pre":
         # the pre-momentum acts on K as minus the post-momentum on the reversed kernel

@@ -10,6 +10,7 @@ returns the plain form, with lists in their place."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import repeat
 
 import numpy as np
@@ -255,14 +256,11 @@ def _bracket_grid(sec, cut=1e-12) -> list:
     brackets = np.asarray(sec["brackets"])
     if not cons or brackets.size == 0:
         return []
-    groups = []
-    members = {}
+    members = {}    # in order of first appearance
     for k, c in enumerate(cons):
         key = f"{'+' if c['kind'] == 'post' else '-'}C_{c['source_type']}"
-        if key not in members:
-            members[key] = []
-            groups.append(key)
-        members[key].append(k)
+        members.setdefault(key, []).append(k)
+    groups = list(members)
     scale = max(np.abs(brackets).max(), 1.0)
     width = max(len(g) for g in groups)
     lines = ["  " + " " * (width + 1) + " ".join(g.rjust(width) for g in groups)]
@@ -292,9 +290,7 @@ def render_text(report) -> str:
                          f"   |det T| = {sec['abs_det_T']:.6g}")
     if "constraints" in report and isinstance(report["constraints"], dict):
         for n, sec in sorted(report["constraints"].items(), key=lambda kv: int(kv[0])):
-            kinds = {}
-            for c in sec["constraints"]:
-                kinds[c["kind"]] = kinds.get(c["kind"], 0) + 1
+            kinds = Counter(c["kind"] for c in sec["constraints"])
             tag = "all first class" if sec["all_first_class"] else "second class present"
             lines.append(
                 f"constraints at {n}: " +

@@ -28,8 +28,8 @@ Move files are JSON:
 
 with row-major matrices and ``n`` the arrival step of each move (the move
 runs n-1 -> n); the steps are consecutive increasing integers, and ``hbar``
-and every matrix entry are numbers.  repr-style float formatting keeps
-numbers round-trippable as IEEE doubles.
+and every matrix entry are numbers, not booleans or strings (``_numbers``).
+repr-style float formatting keeps numbers round-trippable as IEEE doubles.
 
 ``load_sequence`` reads the matrices of a file in the writer's own layout
 from its bytes, checking every line against the layout with vectorised
@@ -46,8 +46,10 @@ from __future__ import annotations
 import functools
 import io
 import json
+import numbers
 import re
 from array import array
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -301,6 +303,27 @@ def _integer(value, what: str) -> int:
     raise InputError(f"{what} must be an integer, not {value!r}")
 
 
+def _numbers(value, what: str, ndim: int = 1) -> np.ndarray:
+    """``value``, a list of numbers (of such lists for ``ndim`` 2), as a
+    float64 array.  A boolean, which numpy would read as 1.0 or 0.0, a string
+    or a ragged shape is an InputError; null reads as NaN, which every
+    reader rejects as not finite.  A numeric ndarray, such as a matrix of
+    the layout reader, is not scanned entry by entry."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        try:
+            kinds = set(map(type, chain.from_iterable(value) if ndim == 2 else value))
+        except TypeError:   # not a list (of lists): the callers' shape checks reject it
+            kinds = set()
+        bad = sorted(t.__name__ for t in kinds - {type(None)}
+                     if t is bool or not issubclass(t, numbers.Real))
+        if bad:
+            raise InputError(f"{what} must be numbers, not {' or '.join(bad)}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{what}: {exc}") from exc
+
+
 def sequence_from_dict(data: dict) -> MoveSequence:
     """The move sequence of a parsed move file.  The arrival steps ``n`` must
     be consecutive increasing integers; a gap, a repeat or a fractional step
@@ -322,11 +345,9 @@ def sequence_from_dict(data: dict) -> MoveSequence:
     for entry in raw_moves:
         try:
             n = _integer(entry["n"], "move step n")
-            a, b, c = (np.asarray(entry[key]) for key in "abc")
-        except (KeyError, TypeError, ValueError) as exc:
+            a, b, c = (_numbers(entry[key], f"move {n}: matrix entries", 2) for key in "abc")
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed move entry: {exc}") from exc
-        if any(m.dtype.kind not in "iuf" for m in (a, b, c)):
-            raise InputError(f"move {n}: matrix entries must be numbers")
         if moves and n != moves[-1].step_to + 1:
             raise InputError(f"move steps must be consecutive increasing integers: "
                              f"{moves[-1].step_to} is followed by {n}")
@@ -484,8 +505,8 @@ def load_bases(path, dim: int) -> dict:
     for entry in entries:
         try:
             step = _integer(entry["step"], "basis step")
-            t = np.asarray(entry["T"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            t = _numbers(entry["T"], f"{path}: basis at step {step}", 2)
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed basis entry: {exc}") from exc
         if step in out:
             raise InputError(f"{path}: more than one basis for step {step}")
@@ -501,10 +522,9 @@ def load_canonical_data(path, dim: int):
     data = _read_json(path)
     try:
         step = _integer(data["step"], "data step")
-        x = np.asarray(data["x"], dtype=float)
-        p = np.asarray(data["p"], dtype=float)
+        x, p = (_numbers(data[key], f"{path}: {key}") for key in "xp")
         side = data.get("side", "pre")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed data file: {exc}") from exc
     if x.shape != (dim,) or p.shape != (dim,):
         raise InputError(f"x and p must have length {dim}")
@@ -517,10 +537,7 @@ def load_free_values(path):
         if "free" not in data and "values" not in data:
             raise InputError(f"{path}: free-value file needs a 'free' or 'values' list")
         data = data.get("free", data.get("values"))
-    try:
-        values = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: free values must be numbers: {exc}") from exc
+    values = _numbers(data, f"{path}: free values")
     if not np.all(np.isfinite(values)):
         raise InputError(f"{path}: free values must be finite numbers")
     return values

@@ -1,5 +1,7 @@
 """Matrix-form Poisson brackets against the pairwise poisson_bracket loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import designed_instance
@@ -132,3 +134,45 @@ def test_abelian_threshold_is_per_pair():
     assert len(_abelian_or_raise([big, small, unit_p], TOL)) == 3
     with pytest.raises(InputError):
         _abelian_or_raise([big, small, unit_p, unit_x], TOL)
+
+
+def _corrupt(con, part, bad):
+    """A copy of ``con`` with one coefficient of ``part`` set to ``bad``."""
+    field = {"p": "p_coeffs", "x": "x_coeffs", "far": "x_coeffs_other"}[part]
+    coeffs = getattr(con, field).copy()
+    coeffs[0] = bad
+    return dataclasses.replace(con, **{field: coeffs})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["p", "x"])
+@pytest.mark.parametrize("with_h", [True, False])
+def test_single_step_table_rejects_non_finite_coefficients(rng, bad, part, with_h):
+    m1, m2, h, basis = _middle(rng, {"I": 1, "H": 2, "lambda": 2, "rho": 1, "gamma": 2})
+    cons = primary_constraints(m1, m2, basis)
+    cons[1] = _corrupt(cons[1], part, bad)
+    with pytest.raises(InputError, match="finite"):
+        bracket_table(cons, h if with_h else None, basis)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["p", "x", "far"])
+@pytest.mark.parametrize("with_h", [True, False])
+def test_pairwise_table_rejects_non_finite_coefficients(rng, monkeypatch, bad, part, with_h):
+    sizes = {"I": 1, "H": 1, "l": 2, "lambda": 1, "r": 1, "rho": 1, "z": 2, "gamma": 2}
+    m1, m2, h, basis = _middle(rng, sizes)
+    basis0 = classify_step(None, m1.c, m1.a, step=0)
+    secondary = secondary_constraints(m1, m2, basis)
+    mixed = primary_constraints(None, m1, basis0) + [
+        c for c in secondary if c.kind in ("boundary_data", "holonomic_left")
+    ]
+    # a primary constraint carries the bad p, a boundary-data one the bad x or far x
+    k = 0 if part == "p" else next(i for i, c in enumerate(mixed) if c.kind == "boundary_data")
+    mixed[k] = _corrupt(mixed[k], part, bad)
+    calls = []
+    monkeypatch.setattr(constraints, "poisson_bracket",
+                        lambda *a: calls.append(a) or poisson_bracket(*a))
+    with pytest.raises(InputError, match="finite"):
+        bracket_table(mixed, m1.a if with_h else None, basis0)
+    # the set is rejected before any pair is bracketed
+    assert calls == []

@@ -584,3 +584,72 @@ def test_string_matrix_entry_exit_2(fixture_files, capsys, indent):
     capsys.readouterr()
     assert main(["report", "--input", str(moves)]) == 2
     assert capsys.readouterr().err.startswith("input error: move 2: matrix entries must be numbers")
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("indent", [None, 1])
+def test_boolean_matrix_entry_exit_2(fixture_files, capsys, value, indent):
+    moves, _ = fixture_files
+    data = json.loads(moves.read_text())
+    data["moves"][0]["c"][0][0] = value
+    moves.write_text(json.dumps(data, indent=indent))
+    capsys.readouterr()
+    assert main(["classify", "--input", str(moves), "--step", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: move 1: matrix entries must be numbers, not bool")
+
+
+@pytest.mark.parametrize("entry", ["1.0", True])
+def test_non_numeric_basis_entry_exit_2(fixture_files, tmp_path, capsys, entry):
+    moves, bases = fixture_files
+    data = json.loads(bases.read_text())
+    data["bases"][0]["T"][0][0] = entry
+    bad = tmp_path / "bad-bases.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["classify", "--input", str(moves), "--basis", str(bad), "--step", "1"]) == 2
+    assert "must be numbers, not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["0.0", False])
+@pytest.mark.parametrize("key", ["x", "p"])
+def test_non_numeric_data_entry_exit_2(fixture_files, tmp_path, capsys, entry, key):
+    moves, bases = fixture_files
+    data = {"step": 0, "x": [0.0] * 12, "p": [0.0] * 12}
+    data[key][3] = entry
+    data_file = tmp_path / "pre.json"
+    data_file.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file) == 2
+    assert f"{key} must be numbers, not" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["0.0", True])
+def test_non_numeric_free_value_exit_2(fixture_files, tmp_path, capsys, entry):
+    moves, bases = fixture_files
+    data_file = tmp_path / "pre.json"
+    data_file.write_text(json.dumps({"step": 0, "x": [0.0] * 12, "p": [0.0] * 12}))
+    free_file = tmp_path / "free.json"
+    free_file.write_text(json.dumps({"free": [entry] + [0.0] * 11}))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file, "--free", str(free_file)) == 2
+    assert "free values must be numbers, not" in capsys.readouterr().err
+
+
+def test_null_entries_read_as_non_finite_exit_2(fixture_files, tmp_path, capsys):
+    moves, bases = fixture_files
+    data = json.loads(moves.read_text())
+    data["moves"][0]["a"][0][0] = None
+    bad_moves = tmp_path / "null-moves.json"
+    bad_moves.write_text(json.dumps(data, indent=1))
+    data = json.loads(bases.read_text())
+    data["bases"][0]["T"][0][0] = None
+    bad_bases = tmp_path / "null-bases.json"
+    bad_bases.write_text(json.dumps(data))
+    data_file = tmp_path / "pre.json"
+    data_file.write_text(json.dumps({"step": 0, "x": [None] + [0.0] * 11, "p": [0.0] * 12}))
+    capsys.readouterr()
+    assert main(["classify", "--input", str(bad_moves), "--step", "1"]) == 2
+    assert main(["classify", "--input", str(moves), "--basis", str(bad_bases), "--step", "1"]) == 2
+    assert _evolve(moves, bases, data_file) == 2
+    assert capsys.readouterr().err.count("finite") == 3

@@ -255,3 +255,17 @@ def test_independent_count():
     c2 = LinearConstraint(0, "pre", p_coeffs=[2.0, 0.0], x_coeffs=[0.0, 0.0])
     c3 = LinearConstraint(0, "pre", p_coeffs=[0.0, 1.0], x_coeffs=[0.0, 0.0])
     assert independent_count([c1, c2, c3]) == 2
+
+
+def test_group_triviality_is_the_per_row_rule():
+    # a row is trivial iff its x and its far-step x both lie within the cut
+    from canonkit.constraints import _rows
+
+    x = np.array([[0.0, 1e-12], [0.0, 0.0], [1.0, 0.0], [0.0, -1e-12]])
+    far = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-1e-12, 0.0]])
+    cons = _rows((0, 2), "boundary_data", ["z"] * 4, x, far, cut=1e-10)
+    assert [c.trivial for c in cons] == [True, False, False, True]
+    assert all(type(c.trivial) is bool and not c.p_coeffs.any() for c in cons)
+    assert [c.trivial for c in _rows(1, "holonomic_left", ["l"] * 4, x, cut=1e-10)] == [
+        True, True, False, True]
+    assert _rows(1, "holonomic_left", [], np.empty((0, 2)), cut=1e-10) == []
