@@ -90,16 +90,12 @@ def cmd_evolve(args) -> int:
     step, x, p, side = serialize.load_canonical_data(args.data, seq.dim)
     free = serialize.load_free_values(args.free) if args.free else None
     data = CanonicalData(step, x, p, side)
-    if args.direction == "forward":
-        move = seq.move_out_of(step)
-        if move is None:
-            raise InputError(f"no move leaves step {step}")
-        res = forward_solve(move, bases[step], bases[step + 1], data, free, an.tol)
-    else:
-        move = seq.move_into(step)
-        if move is None:
-            raise InputError(f"no move arrives at step {step}")
-        res = backward_solve(move, bases[step - 1], bases[step], data, free, an.tol)
+    forward = args.direction == "forward"
+    move = seq.move_out_of(step) if forward else seq.move_into(step)
+    if move is None:
+        raise InputError(f"no move {'leaves' if forward else 'arrives at'} step {step}")
+    solve = forward_solve if forward else backward_solve
+    res = solve(move, bases[move.step_from], bases[move.step_to], data, free, an.tol)
     out = res.data
     report = {
         "step": out.step,

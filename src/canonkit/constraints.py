@@ -175,18 +175,11 @@ def _stacked(constraints):
     return stack, q
 
 
-def bracket_matrix(constraints) -> np.ndarray:
-    """Brackets of constraints that share one step, in one matrix product.
-
-    With coefficient rows X and P, ``M = X Pᵀ`` and the table is
-    ``M - Mᵀ``: entry (i, j) is x_i·p_j - x_j·p_i, exactly antisymmetric
-    with a zero diagonal.  The caller ensures the shared step.
-    """
-    return _brackets(*_stacked(constraints))
-
-
 def _brackets(stack, q):
-    """``bracket_matrix`` of a ``_stacked`` set."""
+    """Brackets of a ``_stacked`` set whose constraints share one step, in
+    one matrix product: with coefficient rows X and P, ``M = X Pᵀ`` and the
+    table is ``M - Mᵀ``, entry (i, j) x_i·p_j - x_j·p_i, exactly
+    antisymmetric with a zero diagonal.  The caller ensures the shared step."""
     m = stack[:, q:2 * q] @ stack[:, :q].T
     return m - m.T
 
@@ -195,7 +188,7 @@ def bracket_table(constraints, h, basis: ClassifiedBasis, tol: float = DEFAULT_T
     """Full bracket table at one step; a constraint is first class iff its
     bracket row vanishes within tolerance.
 
-    Constraints that all live at one step are bracketed by ``bracket_matrix``;
+    Constraints that all live at one step are bracketed by ``_brackets``;
     sets with boundary-data or mixed-step constraints go pair by pair through
     ``poisson_bracket``.  A plain float ``tol`` is measured against the
     scale of ``h``, or of the largest |x coefficient| when ``h`` is None.

@@ -31,10 +31,11 @@ runs n-1 -> n); the steps are consecutive increasing integers, and ``hbar``
 and every matrix entry are numbers, not booleans or strings (``_numbers``).
 repr-style float formatting keeps numbers round-trippable as IEEE doubles.
 
-``load_sequence`` reads the matrices of a file in the writer's own layout
-from its bytes, checking every line against the layout with vectorised
-tests and parsing only the elements that are not exactly ``0.0``; the rest
-of the file, and every other file whole, goes to ``json.loads``.
+``load_sequence`` reads each matrix of a move file one distinct row at a
+time: in any layout, a row text that repeats (most rows are zero-padded
+and alike) is parsed by ``json.loads`` once per call, and the rest of the
+file goes to ``json.loads``.  A file whose matrices are not rows of
+numbers is read by ``json.loads`` whole.
 
 Basis files map steps to explicit row bases:
 
@@ -398,72 +399,54 @@ def _read_json(path):
     return _parse_json(path, _read_bytes(path))
 
 
-# The writer's layout of a matrix value in a move file: its key line at
-# indent 3, each row's brackets at indent 4, one element a line at indent 5,
-# and its closing bracket at indent 3.
-_MATRIX_KEY = re.compile(rb'\n   "[abc]": \[\n')
-# a JSON number with a fraction or an exponent, which json.loads reads with
-# float(); an integer goes to json.loads, which reads it as an int
-_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
-# the first bytes of a row's opening line, an element line and its closing
-# line, and a whole 0.0 line, as little-endian words
-_OPEN, _ELEMENT, _CLOSE, _ZERO = (int.from_bytes(text, "little")
-                                  for text in (b"    [", b"     ", b"    ]", b"     0.0"))
+# a matrix value in a move file: a key "a", "b" or "c", its colon and the
+# opening bracket, and the closing brackets of its last row and of itself
+_MATRIX_KEY = re.compile(rb'"[abc]"[ \t\n\r]*:[ \t\n\r]*\[')
+_MATRIX_END = re.compile(rb"\][ \t\n\r]*\]")
 
 
-def _layout_matrix(data: bytes, start: int, stop: int, q: int):
-    """The q x q float64 matrix whose rows are the lines ``data[start:stop]``
-    in the writer's layout, or None.  Only the element lines that are not
-    exactly ``0.0`` are parsed, one by one."""
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8, stop - start, start) == 10) + start
-    if len(ends) != q * (q + 2):
+def _matrix(text: bytes, rows: dict):
+    """The float64 matrix whose rows are ``text`` split on ``],``, each
+    with its ``]`` put back, or None when it might not read as
+    ``json.loads`` reads it.  Each distinct row text is parsed by
+    ``json.loads`` and converted once per call, memoized in ``rows``; it
+    must be a flat list of numbers, and a comma-joined list of such rows is
+    exactly what ``json.loads`` reads."""
+    stack = []
+    for piece in text.split(b"],"):
+        row = rows.get(piece)
+        if row is None:
+            try:
+                values = json.loads(piece.decode("utf-8") + "]")
+                if not set(map(type, values)) <= {int, float}:
+                    return None
+                row = rows[piece] = np.array(values, float)
+            except (UnicodeDecodeError, json.JSONDecodeError, OverflowError):
+                return None
+        stack.append(row)
+    try:
+        return np.array(stack)
+    except ValueError:    # ragged
         return None
-    # each row is an opening line, q element lines and a closing line
-    comma = np.zeros((q, q + 2), bool)
-    comma[:, 1:q] = comma[:-1, -1] = True
-    starts = np.concatenate(([start], ends[:-1] + 1)).reshape(q, q + 2)
-    size = (ends.reshape(q, q + 2) - starts) - comma - 5    # after the indent, without the comma
-    if (size[:, [0, -1]] != 0).any() or (size[:, 1:-1] < 1).any():
-        return None
-    head = np.array([_OPEN] + [_ELEMENT] * q + [_CLOSE], np.uint64)
-    lines = np.ndarray((len(data) - 7,), "<u8", data, 0, (1,))[starts]    # 8 bytes of each
-    if not (((lines & (1 << 40) - 1) == head).all()
-            and ((np.frombuffer(data, np.uint8)[ends - 1] == ord(",")) == comma.ravel()).all()):
-        return None
-    starts, size = starts[:, 1:-1].ravel(), size[:, 1:-1].ravel()
-    rest = np.flatnonzero((lines[:, 1:-1].ravel() != _ZERO) | (size != 3))
-    texts = [data[i:i + k] for i, k in zip((starts[rest] + 5).tolist(), size[rest].tolist())]
-    if not all(map(_FLOAT.fullmatch, texts)):
-        return None
-    matrix = np.zeros(q * q)
-    matrix[rest] = list(map(float, texts))
-    return matrix.reshape(q, q)
 
 
 def _layout_tree(data: bytes):
-    """The parsed move file whose bytes are ``data``, its matrices in the
-    writer's layout read by ``_layout_matrix``, or None when it starts with
-    no such matrix or might not read as ``json.loads`` reads it.  Each
-    matrix is cut out for a placeholder string, the rest goes to
-    ``json.loads``, and the matrices go back in place of their placeholders
-    at ``moves[i]["a"]``, ``["b"]`` and ``["c"]``; a placeholder anywhere
-    else, or lost to a repeated key, sends the file back to ``json.loads``."""
-    pieces, matrices, at = [], {}, 0
-    # the writer puts a matrix at most a move's "n" line after the last one
-    # (or the head of the file), so the search stops 4 KiB on
-    while (key := _MATRIX_KEY.search(data, at, at + 4096)) is not None:
-        start = key.end()
-        # the first row: its opening line and q element lines end in a newline
-        q = data.count(b"\n", start, data.find(b"\n    ]", start) + 1) - 1
-        # each of the q (q + 2) lines holds at least 6 bytes, its newline
-        # included, so the closing line "   ]" starts no earlier than this
-        stop = data.find(b"\n   ]", start + 6 * q * (q + 2) - 1) + 1
-        matrix = _layout_matrix(data, start, stop, q) if q > 0 and stop else None
+    """The parsed move file whose bytes are ``data``, its matrices read by
+    ``_matrix``, or None when it holds no such matrix or might not read as
+    ``json.loads`` reads it.  Each matrix is cut out for a placeholder
+    string, the rest goes to ``json.loads``, and the matrices go back in
+    place of their placeholders at ``moves[i]["a"]``, ``["b"]`` and
+    ``["c"]``; a placeholder anywhere else, or lost to a repeated key, sends
+    the file back to ``json.loads``."""
+    pieces, matrices, rows, at = [], {}, {}, 0
+    while (key := _MATRIX_KEY.search(data, at)) is not None:
+        end = _MATRIX_END.search(data, key.end())
+        matrix = _matrix(data[key.end():end.start()], rows) if end else None
         if matrix is None:
             return None
-        pieces += [data[at:start - 2], b'"\\u0000%d"' % len(matrices)]
+        pieces += [data[at:key.end() - 1], b'"\\u0000%d"' % len(matrices)]
         matrices["\x00%d" % len(matrices)] = matrix
-        at = stop + 4
+        at = end.end()
     if not matrices:
         return None
     try:
@@ -482,10 +465,10 @@ def _layout_tree(data: bytes):
 
 
 def load_sequence(path) -> MoveSequence:
-    """The move sequence of a move file.  A file in the writer's own layout
-    has its matrices read from the bytes at array speed; any other file, and
-    every malformed one, is read by ``json.loads``, and both are checked by
-    ``sequence_from_dict``."""
+    """The move sequence of a move file.  A file whose matrices are rows of
+    numbers, in any layout, has them read by ``_layout_tree``, each
+    distinct row once; any other file, and every malformed one, is read by
+    ``json.loads``, and both are checked by ``sequence_from_dict``."""
     data = _read_bytes(path)
     tree = _layout_tree(data)
     return sequence_from_dict(_parse_json(path, data) if tree is None else tree)

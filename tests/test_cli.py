@@ -653,3 +653,63 @@ def test_null_entries_read_as_non_finite_exit_2(fixture_files, tmp_path, capsys)
     assert main(["classify", "--input", str(moves), "--basis", str(bad_bases), "--step", "1"]) == 2
     assert _evolve(moves, bases, data_file) == 2
     assert capsys.readouterr().err.count("finite") == 3
+
+
+@pytest.mark.parametrize("direction, step, side, message", [
+    ("forward", 2, "pre", "no move leaves step 2"),
+    ("backward", 0, "post", "no move arrives at step 0"),
+])
+def test_evolve_past_the_sequence_end_exit_2(fixture_files, tmp_path, capsys, direction, step,
+                                             side, message):
+    moves, bases = fixture_files
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps({"step": step, "x": [0.0] * 12, "p": [0.0] * 12,
+                                     "side": side}))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file, "--direction", direction) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_report_on_one_move(tmp_path, capsys):
+    moves = tmp_path / "one.json"
+    assert main(["example", "square-lattice", "--steps", "1", "--out", str(moves)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--input", str(moves), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # no effective move and no inner step; the one kernel is the composed one
+    assert "effective" not in report and report["dof"] == {}
+    assert sorted(report["steps"]) == ["0", "1"]
+    assert report["quantum"]["composed"] == report["quantum"]["moves"]["0->1"]
+    assert report["quantum"]["hilbert_dims"] == {"0->1": {"pre": 0, "post": 0}}
+    assert main(["report", "--input", str(moves)]) == 0
+    text = capsys.readouterr().out
+    assert "step 1: N_I=1  N_H=3" in text
+    assert "composed 0->1: modulus = 1, i_exponent = 0, deltas = 0" in text
+
+
+@pytest.mark.parametrize("wrap", [list, lambda v: {"free": v}, lambda v: {"values": v}])
+def test_evolve_injects_free_values(fixture_files, tmp_path, capsys, wrap):
+    moves, bases = fixture_files
+    data_file = tmp_path / "pre.json"
+    data_file.write_text(json.dumps({"step": 0, "x": [0.0] * 12, "p": [0.0] * 12}))
+    values = [0.5 * k - 2.0 for k in range(12)]    # one per free row
+    free_file = tmp_path / "free.json"
+    free_file.write_text(json.dumps(wrap(values)))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file, "--free", str(free_file), "--format", "json") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["step"] == 1 and len(out["free_rows"]) == 12
+    assert out["injected"] == values
+
+
+def test_evolve_text_format(fixture_files, tmp_path, capsys):
+    moves, bases = fixture_files
+    data_file = tmp_path / "pre.json"
+    data_file.write_text(json.dumps({"step": 0, "x": [0.0] * 12, "p": [0.0] * 12}))
+    capsys.readouterr()
+    assert _evolve(moves, bases, data_file, "--format", "json") == 0
+    rows = tuple(tuple(row) for row in json.loads(capsys.readouterr().out)["free_rows"])
+    assert _evolve(moves, bases, data_file) == 0
+    zeros = np.array2string(np.zeros(12), precision=6)
+    assert capsys.readouterr().out.splitlines() == [
+        "step 1 (post side)", f"x = {zeros}", f"p = {zeros}", f"free rows: {rows}"]

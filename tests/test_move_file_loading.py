@@ -1,9 +1,10 @@
 """Move files load the same through the layout reader and through json.loads.
 
-``load_sequence`` reads the matrices of a file in the writer's own layout
-from its bytes, and sends every other file to ``json.loads``.  Each file,
-as written or perturbed, must give the sequence, or the InputError text,
-that ``sequence_from_dict(json.loads(...))`` gives.
+``load_sequence`` reads the matrices of a file, in any layout, one
+distinct row at a time, and sends every file whose matrices are not rows
+of numbers to ``json.loads``.  Each file, as written or perturbed, in the
+writer's layout or in another of the stdlib's, must give the sequence, or
+the InputError text, that ``sequence_from_dict(json.loads(...))`` gives.
 """
 
 import json
@@ -169,3 +170,68 @@ def test_square_lattice_file_is_read_by_layout(tmp_path, mass):
     assert serialize._layout_tree(path.read_bytes()) is not None
     assert_same(serialize.load_sequence(path), reference(path))
     assert_same(serialize.load_sequence(path), seq)
+
+
+# the stdlib's other layouts of a move file, as json.dumps keyword arguments
+LAYOUTS = {
+    "indent=2": {"indent": 2},
+    "no indent": {},
+    "compact": {"separators": (",", ":")},
+}
+
+
+def relayout(text: str, layout: str) -> str:
+    """``text``, in the writer's indent-1 layout and perhaps perturbed, laid
+    out as ``json.dumps(..., **LAYOUTS[layout])`` lays out the same tree."""
+    if layout == "indent=2":
+        return re.sub(r"(?m)^ +", lambda m: m.group() * 2, text)
+    text = re.sub(r"\n *", "", re.sub(r",\n *", ", " if layout == "no indent" else ",", text))
+    return text if layout == "no indent" else text.replace('": ', '":')
+
+
+@pytest.mark.parametrize("layout", [*LAYOUTS, "tabs and spaced colons"])
+@pytest.mark.parametrize("mass", [0.0, 0.5])
+def test_square_lattice_file_in_other_layouts_is_read_by_rows(tmp_path, layout, mass):
+    seq = expanding_square_sequence(4, mass=mass).sequence
+    tree = serialize.sequence_to_dict(seq)
+    path = tmp_path / "moves.json"
+    kwargs = LAYOUTS.get(layout, {"indent": "\t", "separators": (",", " \r\n: ")})
+    path.write_text(json.dumps(tree, **kwargs), encoding="utf-8")
+    assert serialize._layout_tree(path.read_bytes()) is not None
+    assert_same(serialize.load_sequence(path), reference(path))
+    assert_same(serialize.load_sequence(path), seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences(), st.sampled_from(KINDS), st.sampled_from(sorted(LAYOUTS)), st.data())
+def test_row_reader_matches_json_loads_in_other_layouts(seq, kind, layout, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "moves.json"
+        serialize.save_sequence(seq, path)
+        written = path.read_text(encoding="utf-8")
+        text = relayout(perturb(written, kind, data.draw), layout)
+        if kind == "none":
+            tree = json.loads(written)
+            assert text == json.dumps(tree, **LAYOUTS[layout])
+        path.write_bytes(text.encode())
+        # a line break of CR LF is JSON whitespace, which the row reader skips
+        if kind in READ_BY_LAYOUT | {"crlf"} and "\\u0000" not in text:
+            assert serialize._layout_tree(path.read_bytes()) is not None
+        assert_same(outcome(serialize.load_sequence, path), outcome(reference, path))
+
+
+@pytest.mark.parametrize("entry", ["true", "null", '"0.5"', "[0.5]", "1" + "0" * 400, "ragged"])
+def test_matrix_that_is_not_rows_of_numbers_goes_to_json_loads(tmp_path, entry):
+    seq = expanding_square_sequence(2).sequence
+    tree = serialize.sequence_to_dict(seq)
+    row = tree["moves"][1]["c"][3]
+    if entry == "ragged":
+        row.pop()
+    else:
+        row[2] = json.loads(entry)
+    path = tmp_path / "moves.json"
+    path.write_text(json.dumps(tree, indent=2), encoding="utf-8")
+    assert serialize._layout_tree(path.read_bytes()) is None
+    want = outcome(reference, path)
+    assert want.startswith("InputError: ")    # null reads as NaN: "non-finite entries"
+    assert outcome(serialize.load_sequence, path) == want
