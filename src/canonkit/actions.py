@@ -129,6 +129,16 @@ class MoveSequence:
     def steps(self) -> range:
         return range(self.first_step, self.last_step + 1)
 
+    def moves_between(self, from_step: int, to_step: int) -> tuple:
+        """The moves from ``from_step`` to ``to_step``; every step range is
+        read here.  A range that is not ``first_step <= from_step < to_step
+        <= last_step``, or that holds no move, is an InputError."""
+        moves = tuple(m for m in self.moves if from_step <= m.step_from and m.step_to <= to_step)
+        if not (moves and self.first_step <= from_step < to_step <= self.last_step):
+            raise InputError(f"step range {from_step}->{to_step} is not within the "
+                             f"sequence's steps {self.first_step}..{self.last_step}")
+        return moves
+
     def move_into(self, step: int):
         """The move arriving at ``step``, or None at the first step."""
         for m in self.moves:

@@ -188,12 +188,10 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
 
     The first glued step's data are the sequence's own, so a caller that
     holds its sequence basis may pass it as ``first_basis`` instead of
-    having it classified again.
+    having it classified again.  The range is read by ``moves_between``.
     """
-    if not (seq.first_step <= from_step < to_step <= seq.last_step):
-        raise InputError("step range outside the sequence")
+    moves = seq.moves_between(from_step, to_step)
     tol = moves_tolerance(tol, *seq.moves)
-    moves = [m for m in seq.moves if from_step <= m.step_from and m.step_to <= to_step]
     first = moves[0]
     acc = EffectiveMove(first.step_from, first.step_to, first.a, first.b, first.c)
     for nxt in moves[1:]:

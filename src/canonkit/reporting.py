@@ -1,7 +1,10 @@
 """Analysis reports: dict trees that serialize losslessly to JSON and render
-as text tables.  Every report reads one ``_Analysis``: the sequence's
-Tolerance and bases are built once, each step range is composed once, and
-the quantum fold glues later steps where ``chain_compose`` did.
+as text tables.  Every section builder, ``_report_tree`` among them, reads
+one ``_Analysis``: the sequence's Tolerance and bases are built once, each
+step range is composed once, and the quantum fold glues later steps where
+``chain_compose`` did.  Every step range is read by
+``MoveSequence.moves_between``, which rejects one that is not
+``first <= from < to <= last`` as an InputError.
 
 The section builders hold each matrix and vector as its float64 array,
 which ``report_to_json`` writes from the array's bytes; ``full_report``
@@ -25,7 +28,6 @@ from .effective import (
     effective_constraints,
     effective_outer_bases,
 )
-from .errors import InputError
 from .evolution import dof_report
 from .linalg import DEFAULT_TOL
 from .quantum import compose_kernels, normalized_measure, propagator_from_move
@@ -46,7 +48,7 @@ class _Analysis:
         The first glued step starts from its sequence basis unless that basis
         was supplied."""
         if (from_step, to_step) not in self._ranges:
-            glued = self.seq.move_out_of(from_step).step_to
+            glued = self.seq.moves_between(from_step, to_step)[0].step_to
             first = (self.bases[glued] if glued < to_step and glued not in self._overridden
                      else None)
             eff = chain_compose(self.seq, from_step, to_step, self.tol, first_basis=first)
@@ -166,14 +168,11 @@ def _hilbert_pair(b_from, b_to):
 def _move_kernels(an, from_step, to_step):
     """Propagator and pre/post Hilbert dimensions of every move in range."""
     kernels, move_dims = {}, {}
-    for m in an.seq.moves:
-        if from_step <= m.step_from and m.step_to <= to_step:
-            b_from, b_to = an.bases[m.step_from], an.bases[m.step_to]
-            kernels[m.step_from, m.step_to] = propagator_from_move(m, b_from, b_to,
-                                                                  hbar=an.seq.hbar, tol=an.tol)
-            move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(b_from, b_to)
-    if not kernels:
-        raise InputError(f"no moves between steps {from_step} and {to_step}")
+    for m in an.seq.moves_between(from_step, to_step):
+        b_from, b_to = an.bases[m.step_from], an.bases[m.step_to]
+        kernels[m.step_from, m.step_to] = propagator_from_move(m, b_from, b_to,
+                                                              hbar=an.seq.hbar, tol=an.tol)
+        move_dims[f"{m.step_from}->{m.step_to}"] = _hilbert_pair(b_from, b_to)
     return kernels, move_dims
 
 
@@ -192,7 +191,7 @@ def quantum_section(an, from_step, to_step):
     keys = sorted(kernels)
     composed, fixed = kernels[keys[0]], {}
     if len(keys) > 1:
-        eff, (b_from, b_to) = an.composed(keys[0][0], keys[-1][1])
+        eff, (b_from, b_to) = an.composed(from_step, to_step)
         # the first step is glued at the sequence basis, each later one at the
         # basis chain_compose classified against the composed data
         for key, mid in zip(keys[1:], (an.bases[keys[0][1]],) + eff.glued_bases[1:]):
@@ -212,12 +211,12 @@ def quantum_section(an, from_step, to_step):
 def full_report(seq, tol=DEFAULT_TOL, overrides=None):
     """The report as plain dicts, lists, strings and numbers: every matrix
     and vector is ``float_rows`` of its array."""
-    return _as_lists(_report_tree(seq, tol, overrides))
+    return _as_lists(_report_tree(_Analysis(seq, tol, overrides)))
 
 
-def _report_tree(seq, tol=DEFAULT_TOL, overrides=None):
-    """The full report, holding the arrays of its sections."""
-    an = _Analysis(seq, tol, overrides)
+def _report_tree(an):
+    """The full report of the analysis, holding the arrays of its sections."""
+    seq = an.seq
     report = {
         "Q": seq.dim,
         "hbar": seq.hbar,

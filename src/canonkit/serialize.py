@@ -199,25 +199,12 @@ def float_rows(a) -> list:
 def _as_lists(tree):
     """``tree``, a fresh tree of dicts and lists, with every ndarray in it
     replaced in place by its ``float_rows``: the plain form of a tree that
-    ``_dumps`` writes.  The 1-D arrays of one length are converted together,
-    in one call."""
-    vectors = {}    # length -> [(container, key)]
-
-    def visit(node):
-        for key, value in (node.items() if type(node) is dict else enumerate(node)):
-            kind = type(value)
-            if kind is np.ndarray:
-                if value.ndim == 1:
-                    vectors.setdefault(len(value), []).append((node, key))
-                else:
-                    node[key] = float_rows(value)
-            elif kind is dict or kind is list:
-                visit(value)
-
-    visit(tree)
-    for group in vectors.values():
-        for (node, key), row in zip(group, float_rows([node[key] for node, key in group])):
-            node[key] = row
+    ``_dumps`` writes."""
+    for key, value in (tree.items() if type(tree) is dict else enumerate(tree)):
+        if type(value) is np.ndarray:
+            tree[key] = float_rows(value)
+        elif type(value) is dict or type(value) is list:
+            _as_lists(value)
     return tree
 
 
@@ -388,10 +375,11 @@ def _read_bytes(path) -> bytes:
 def _parse_json(path, data: bytes):
     """The parsed JSON text of the file ``path`` whose bytes are ``data``,
     read as UTF-8 with universal newlines, as ``Path.read_text`` reads it;
-    bytes that are not UTF-8 or text that is not JSON is an InputError."""
+    bytes that are not UTF-8, text that is not JSON or an integer of more
+    digits than Python converts is an InputError."""
     try:
         return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError among them
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -421,7 +409,7 @@ def _matrix(text: bytes, rows: dict):
                 if not set(map(type, values)) <= {int, float}:
                     return None
                 row = rows[piece] = np.array(values, float)
-            except (UnicodeDecodeError, json.JSONDecodeError, OverflowError):
+            except (ValueError, OverflowError):
                 return None
         stack.append(row)
     try:
@@ -453,7 +441,7 @@ def _layout_tree(data: bytes):
         text = b"".join(pieces + [data[at:]]).decode("utf-8")
         # a \u0000 in the file itself could read as a placeholder
         tree = json.loads(text) if text.count("\\u0000") == len(matrices) else None
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except ValueError:
         return None
     moves = tree.get("moves") if isinstance(tree, dict) else None
     for entry in moves if isinstance(moves, list) else ():

@@ -13,6 +13,7 @@ from canonkit.actions import (
     validate,
 )
 from canonkit.errors import InputError
+from canonkit.lattice import expanding_square_sequence
 
 
 def test_extend_lattice_example(square_fixture):
@@ -174,3 +175,23 @@ def test_validate_reports_label_gap():
     seq = MoveSequence(2, (mk(0, 1), mk(2, 3)))
     findings = validate(seq)
     assert any("gap" in f for f in findings)
+
+
+def test_moves_between_reads_one_step_range():
+    seq = expanding_square_sequence(3).sequence    # steps 0..3
+    for lo, hi in ((0, 3), (0, 1), (1, 3), (2, 3), (1, 2)):
+        got = seq.moves_between(lo, hi)
+        assert all(any(m is n for n in seq.moves) for m in got)
+        assert [(m.step_from, m.step_to) for m in got] == [(n, n + 1) for n in range(lo, hi)]
+    for lo, hi in ((2, 2), (2, 1), (-1, 2), (0, 4), (4, 5), (-3, -1)):
+        with pytest.raises(InputError, match=rf"^step range {lo}->{hi} is not within the "
+                                             r"sequence's steps 0\.\.3$"):
+            seq.moves_between(lo, hi)
+
+
+def test_moves_between_rejects_a_range_in_a_gap():
+    mk = lambda nf, nt: QuadraticMove(nf, nt, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+    seq = MoveSequence(2, (mk(0, 1), mk(2, 3)))
+    assert [m.step_to for m in seq.moves_between(0, 3)] == [1, 3]
+    with pytest.raises(InputError, match="step range 1->2"):
+        seq.moves_between(1, 2)

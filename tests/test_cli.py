@@ -713,3 +713,76 @@ def test_evolve_text_format(fixture_files, tmp_path, capsys):
     zeros = np.array2string(np.zeros(12), precision=6)
     assert capsys.readouterr().out.splitlines() == [
         "step 1 (post side)", f"x = {zeros}", f"p = {zeros}", f"free rows: {rows}"]
+
+
+@pytest.mark.parametrize("command, from_step, to_step", [
+    (["compose"], 2, 3),
+    (["compose"], -3, 1),
+    (["compose"], 1, 1),
+    (["quantum", "compose"], 0, 5),
+    (["quantum", "compose"], -1, 2),
+    (["quantum", "propagator"], 0, 9),
+    (["quantum", "propagator"], 2, 1),
+])
+def test_step_range_outside_the_sequence_exit_2(fixture_files, capsys, command, from_step,
+                                                to_step):
+    moves, _ = fixture_files
+    capsys.readouterr()
+    assert main([*command, "--input", str(moves), "--from", str(from_step),
+                 "--to", str(to_step)]) == 2
+    assert capsys.readouterr() == ("", f"input error: step range {from_step}->{to_step} is not "
+                                       "within the sequence's steps 0..2\n")
+
+
+@pytest.mark.parametrize("command", ["classify", "constraints"])
+def test_step_outside_the_sequence_exit_2(fixture_files, capsys, command):
+    moves, _ = fixture_files
+    capsys.readouterr()
+    assert main([command, "--input", str(moves), "--step", "9"]) == 2
+    assert capsys.readouterr().err == "input error: step 9 not in sequence\n"
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("target, keys, value, message", [
+    pytest.param("moves", ("moves",), [], "move file must contain a non-empty 'moves' list",
+                 id="empty move list"),
+    pytest.param("moves", ("moves", 1, "c"), _DROP, "malformed move entry: 'c'", id="no c"),
+    pytest.param("bases", ("bases",), _DROP, "malformed basis file: 'bases'", id="no bases"),
+    pytest.param("bases", ("bases", 0, "T"), _DROP, "malformed basis entry: 'T'", id="no T"),
+    pytest.param("bases", ("bases", 0, "T"), np.eye(11).tolist(), "basis at step 1 must be 12x12",
+                 id="basis shape"),
+    pytest.param("data", ("step",), _DROP, "malformed data file: 'step'", id="no data step"),
+    pytest.param("data", ("x",), [0.0] * 11, "x and p must have length 12", id="x length"),
+    pytest.param("data", ("p",), [0.0] * 13, "x and p must have length 12", id="p length"),
+    # "@" is written as an integer of 5,001 digits, more than Python converts
+    # from text by default
+    pytest.param("moves", ("moves", 1, "c", 0, 0), "@", "", id="long matrix entry"),
+    pytest.param("moves", ("Q",), "@", "", id="long Q"),
+    pytest.param("moves", ("hbar",), "@", "", id="long hbar"),
+    pytest.param("bases", ("bases", 0, "T", 0, 0), "@", "", id="long basis entry"),
+    pytest.param("data", ("x", 3), "@", "", id="long data entry"),
+    pytest.param("free", (0,), "@", "", id="long free value"),
+])
+def test_missing_misshapen_or_overlong_entry_exit_2(fixture_files, tmp_path, capsys, target,
+                                                    keys, value, message):
+    moves, bases = fixture_files
+    files = {"moves": moves, "bases": bases, "data": tmp_path / "pre.json",
+             "free": tmp_path / "free.json"}
+    trees = {"moves": json.loads(moves.read_text()), "bases": json.loads(bases.read_text()),
+             "data": {"step": 0, "x": [0.0] * 12, "p": [0.0] * 12}, "free": [0.0] * 12}
+    node = trees[target]
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    for name, tree in trees.items():
+        # json.dumps cannot write the long integer either: it goes in as text
+        files[name].write_text(json.dumps(tree, indent=1).replace('"@"', "9" * 5001))
+    capsys.readouterr()
+    assert _evolve(moves, bases, files["data"], "--free", str(files["free"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and message in err
