@@ -101,8 +101,7 @@ class ClassifiedBasis:
 
     def block(self, *types) -> np.ndarray:
         """The sub-matrix of T rows with the given labels."""
-        idx = self.rows_of(*types)
-        return self.T[idx] if idx.size else np.zeros((0, self.dim))
+        return self.T[self.rows_of(*types)]
 
     @property
     def left_rows(self) -> np.ndarray:

@@ -132,7 +132,7 @@ def cmd_evolve(args) -> int:
 def cmd_example(args) -> int:
     if args.name != "square-lattice":
         raise InputError(f"unknown example {args.name!r}; available: square-lattice")
-    fixture = expanding_square_sequence(args.steps, mass=args.mass, hbar=args.hbar or 1.0)
+    fixture = expanding_square_sequence(args.steps, mass=args.mass, hbar=args.hbar)
     out = args.out or "square-lattice.json"
     serialize.save_sequence(fixture.sequence, out)
     print(f"wrote {out} (Q = {fixture.sequence.dim}, {len(fixture.sequence.moves)} moves)")
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="example name (square-lattice)")
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--mass", type=float, default=0.0)
-    p.add_argument("--hbar", type=float, default=None)
+    p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--out", default=None)
     p.add_argument("--basis-out", default=None, help="also write the reference bases")
     p.set_defaults(func=cmd_example)

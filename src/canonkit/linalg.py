@@ -45,11 +45,9 @@ DEFAULT_TOL = 1e-10
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-d float array."""
-    a = np.asarray(m, dtype=float)
+    a = np.atleast_2d(np.asarray(m, dtype=float))
     if a.ndim != 2:
-        a = np.atleast_2d(a)
-        if a.ndim != 2:
-            raise InputError(f"expected a matrix, got ndim={a.ndim}")
+        raise InputError(f"expected a matrix, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
         raise InputError("matrix has non-finite entries")
     return a

@@ -28,6 +28,7 @@ from .effective import (
     effective_constraints,
     effective_outer_bases,
 )
+from .errors import InputError
 from .evolution import dof_report
 from .linalg import DEFAULT_TOL
 from .quantum import compose_kernels, normalized_measure, propagator_from_move
@@ -142,14 +143,27 @@ def effective_section(an, from_step, to_step):
     return section
 
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
+def _amplitude_fields(amp, name, hbar):
+    """The reported ``log_modulus``, ``modulus`` and ``i_exponent`` of the
+    amplitude of kernel ``name``; a modulus past float range is an
+    InputError, raised before it is computed."""
+    log_modulus = float(amp.log_modulus)
+    if log_modulus > _LOG_FLOAT_MAX:
+        raise InputError(f"kernel {name}: log_modulus = {log_modulus!r} at hbar = {hbar!r} "
+                         f"puts the modulus beyond float range")
+    return {"log_modulus": log_modulus, "modulus": float(amp.modulus),
+            "i_exponent": int(amp.i_exponent)}
+
+
 def kernel_summary(kernel):
     return {
         "in_step": kernel.in_step,
         "out_step": kernel.out_step,
         "hbar": kernel.hbar,
-        "log_modulus": float(kernel.log_modulus),
-        "modulus": float(kernel.amplitude.modulus),
-        "i_exponent": int(kernel.i_exponent),
+        **_amplitude_fields(kernel.amplitude, f"{kernel.in_step}->{kernel.out_step}", kernel.hbar),
         "continuous_phase": float(kernel.continuous_phase),
         "delta_count": int(kernel.deltas.shape[0]),
         "delta_labels": list(kernel.delta_labels),
@@ -201,9 +215,8 @@ def quantum_section(an, from_step, to_step):
         # the raw composed amplitude is reported on the kernel itself; the
         # re-derived fixed measure of the composed move sits next to it
         amp = normalized_measure(composed, b_from, b_to)
-        fixed = {"fixed_measure": {"log_modulus": float(amp.log_modulus),
-                                   "modulus": float(amp.modulus),
-                                   "i_exponent": int(amp.i_exponent)}}
+        fixed = {"fixed_measure": _amplitude_fields(
+            amp, f"{from_step}->{to_step} (fixed measure)", composed.hbar)}
     return {"moves": _kernel_summaries(kernels), "composed": {**kernel_summary(composed), **fixed},
             "hilbert_dims": move_dims}
 

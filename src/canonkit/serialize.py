@@ -1,7 +1,9 @@
 """Move-file and report serialization.
 
 One writer lays out all indented JSON text in the stdlib's ``indent=1``
-layout, byte for byte.  Its public entry, ``dumps_indented``, returns
+layout, byte for byte: its walk, ``_write``, lays out every dict, list and
+tuple, and hands only a scalar it has no text for (and a non-str key) to
+the stdlib's compact encoder.  Its public entry, ``dumps_indented``, returns
 exactly ``json.dumps(obj, indent=1, sort_keys=sort_keys)`` and, like it,
 rejects an ndarray.  Its private entry, ``_dumps``, also reads 1-D and 2-D
 float64 arrays as their ``tolist()``: the CLI's reports (through
@@ -44,7 +46,6 @@ Basis files map steps to explicit row bases:
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import numbers
@@ -60,25 +61,21 @@ from .actions import MoveSequence, QuadraticMove
 from .errors import InputError
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
 def dumps_indented(obj, sort_keys: bool = False) -> str:
     """``json.dumps(obj, indent=1, sort_keys=sort_keys)``, byte for byte.
 
-    With ``indent`` set, CPython's ``json`` runs its pure-Python encoder on
-    every value.  This writer lays out the nested dicts and lists itself.
-    A list or tuple whose items are all exact ``float``s (the matrix rows
-    and vectors of plain reports and move files, nearly all zeros) is
-    written by ``_float_row``, which formats each distinct row once per
-    call, and only its nonzero entries; rows of zeros share one text.  Every other
-    dict or list that holds no dict, list or tuple goes to the stdlib's
-    compact encoder in one call, which runs in C where the interpreter has
-    the speedups, and a lone ``str``, ``int``, ``float``, ``bool`` or
-    ``None`` is written directly.  All of them write floats with
-    ``float.__repr__`` and NaN/±Infinity, and keys and sorted items as the
-    Python encoder does.  Input is a tree: a cycle raises
-    ``RecursionError`` where ``json.dumps`` raises ``ValueError``.
+    One walk, ``_write``, lays out every dict, list and tuple.  A non-empty
+    list or tuple whose items are all exact ``float``s (the matrix rows and
+    vectors of plain reports and move files, nearly all zeros) is written
+    by ``_float_row``, which formats each distinct row once per call, and
+    only its nonzero entries; rows of zeros share one text.  An exact
+    ``str``, ``int``, ``float``, ``bool`` or ``None`` is written directly;
+    every other scalar (``np.float64``, int and float subclasses) and every
+    non-str key goes to the stdlib's compact encoder, which writes it as
+    ``json.dumps`` does and raises its ``TypeError`` for a value JSON cannot
+    hold.  Floats are written with ``float.__repr__`` and NaN/±Infinity.
+    Input is a tree: a cycle raises ``RecursionError`` where ``json.dumps``
+    raises ``ValueError``.
     """
     return _dumps(obj, sort_keys, arrays=False)
 
@@ -94,14 +91,6 @@ def _dumps(obj, sort_keys: bool = False, arrays: bool = True) -> str:
     finally:
         _ROW_TEXTS.clear()
     return "".join(chunks)
-
-
-@functools.cache
-def _leaf_encoder(depth: int, sort_keys: bool):
-    """The stdlib's compact ``encode``, with each item of a container at
-    ``depth`` on its own line; the caller breaks the lines at the brackets."""
-    sep = ",\n" + " " * (depth + 1)
-    return json.JSONEncoder(separators=(sep, ": "), sort_keys=sort_keys).encode
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -120,6 +109,10 @@ _SCALAR_TEXT = {
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
 }
+
+# every other scalar and every non-str key: np.float64, int and float
+# subclasses, and the values JSON cannot hold, which raise TypeError
+_encode = json.JSONEncoder().encode
 
 # row text by (bit pattern, depth); _dumps empties it when it returns or
 # raises, so no pass over a report can reuse another's work.  A
@@ -175,25 +168,21 @@ def _write_array(a: np.ndarray, depth: int, emit) -> None:
 
 def float_rows(a) -> list:
     """``a.tolist()`` for a 1-D or 2-D float array, in value and bit pattern.
-    Each all-+0.0 row is ``[0.0] * n``, which holds one float object, not n;
-    the other rows (-0.0 included) are converted once per bit pattern, and
-    rows with one pattern share their float objects, not their lists."""
+    Each distinct row is converted once, keyed by its bytes, and each row
+    gets its own copy of that list: rows with one pattern share their float
+    objects, not their lists, and an all-+0.0 row is ``[0.0] * n``, which
+    holds one float object, not n."""
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         return float_rows(a[None])[0]
-    n = a.shape[1]
-    if not n:
-        return [[] for _ in range(len(a))]
-    nonzero = np.ascontiguousarray(a).view(np.int64).any(axis=1)
-    data, width, lists, converted = a[nonzero].tobytes(), 8 * n, {}, []
-    for i in range(0, len(data), width):
-        key = data[i:i + width]
-        row = lists.get(key)
-        if row is None:
-            row = lists[key] = np.frombuffer(key).tolist()
-        converted.append(row[:])
-    converted = iter(converted)
-    return [next(converted) if nz else [0.0] * n for nz in nonzero.tolist()]
+    zero, lists, converted = bytes(8 * a.shape[1]), {}, []
+    for row in a:
+        key = row.tobytes()
+        pattern = lists.get(key)
+        if pattern is None:
+            pattern = lists[key] = [0.0] * len(row) if key == zero else row.tolist()
+        converted.append(pattern[:])
+    return converted
 
 
 def _as_lists(tree):
@@ -212,44 +201,31 @@ def _key(k) -> str:
     if isinstance(k, str):
         return k
     if k is None or isinstance(k, (int, float)):
-        return _leaf_encoder(0, False)(k)
+        return _encode(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-# the kinds of item that a dict or list is laid out around, by mode
-_NESTED = {False: _CONTAINERS, True: _CONTAINERS + (np.ndarray,)}
 
 
 def _write(o, depth: int, sort_keys: bool, emit, arrays: bool) -> None:
     if isinstance(o, dict):
-        kinds = set(map(type, o.values()))
+        items = sorted(o.items()) if sort_keys else o.items()
+        pairs = [(encode_basestring_ascii(_key(k)) + ": ", v) for k, v in items]
+        brackets = "{}"
     elif isinstance(o, (list, tuple)):
-        kinds = set(map(type, o))
-        if kinds == {float}:
+        if o and all(type(v) is float for v in o):
             emit(_float_row(o, depth))
             return
+        pairs = [("", v) for v in o]
+        brackets = "[]"
     elif arrays and type(o) is np.ndarray:
         _write_array(o, depth, emit)
         return
     else:
         scalar = _SCALAR_TEXT.get(type(o))
-        if scalar is not None:
-            emit(scalar(o))
-            return
-        kinds = ()
-    if not any(issubclass(t, _NESTED[arrays]) for t in kinds):
-        text = _leaf_encoder(depth, sort_keys)(o)
-        if isinstance(o, _CONTAINERS) and o:
-            text = text[0] + "\n" + " " * (depth + 1) + text[1:-1] + "\n" + " " * depth + text[-1]
-        emit(text)
+        emit(_encode(o) if scalar is None else scalar(o))
         return
-    if isinstance(o, dict):
-        items = sorted(o.items()) if sort_keys else o.items()
-        pairs = [(encode_basestring_ascii(_key(k)) + ": ", v) for k, v in items]
-        brackets = "{}"
-    else:
-        pairs = [("", v) for v in o]
-        brackets = "[]"
+    if not pairs:
+        emit(brackets)
+        return
     inner = "\n" + " " * (depth + 1)
     sep = brackets[0] + inner
     # scalar and array items are written here, without a call of _write;

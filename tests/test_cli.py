@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 
 from canonkit import reporting, serialize
 from canonkit.cli import main
+from canonkit.errors import InputError
 from canonkit.lattice import expanding_square_sequence
+from canonkit.quantum import Amplitude
 
 
 @pytest.fixture
@@ -786,3 +790,45 @@ def test_missing_misshapen_or_overlong_entry_exit_2(fixture_files, tmp_path, cap
     assert _evolve(moves, bases, files["data"], "--free", str(files["free"])) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and message in err
+
+
+def test_example_hbar_zero_exit_2(tmp_path, capsys):
+    out = tmp_path / "moves.json"
+    assert main(["example", "square-lattice", "--steps", "2", "--hbar", "0",
+                 "--out", str(out)]) == 2
+    assert "hbar must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("steps, example, command, kernel", [
+    pytest.param(3, ["--mass", "0"], ["quantum", "propagator", "--from", "0", "--to", "3",
+                                      "--hbar", "1e-100"], "2->3", id="N=3 propagator"),
+    pytest.param(3, ["--mass", "0.5"], ["quantum", "propagator", "--from", "0", "--to", "3",
+                                        "--hbar", "1e-100"], "2->3", id="N=3 mass propagator"),
+    pytest.param(16, [], ["quantum", "propagator", "--from", "0", "--to", "16",
+                          "--hbar", "1e-12"], "8->9", id="N=16 propagator"),
+    pytest.param(3, ["--hbar", "1e-200"], ["report"], "1->2", id="N=3 report, file hbar"),
+])
+def test_modulus_beyond_float_range_exit_2(tmp_path, capsys, fmt, steps, example, command,
+                                          kernel):
+    moves, out = tmp_path / "moves.json", tmp_path / "out"
+    assert main(["example", "square-lattice", "--steps", str(steps), *example,
+                 "--out", str(moves)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # no modulus is computed to overflow
+        code = main([*command, "--input", str(moves), "--format", fmt, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: kernel {kernel}: log_modulus = ") and "hbar = 1e-" in err
+    assert not out.exists()
+
+
+def test_modulus_at_the_float_range_edge():
+    top = math.log(sys.float_info.max)
+    fields = reporting._amplitude_fields(Amplitude(log_modulus=top), "0->1", 1.0)
+    assert math.isfinite(fields["modulus"])
+    with pytest.raises(InputError, match="kernel 0->1: log_modulus = "):
+        reporting._amplitude_fields(Amplitude(log_modulus=math.nextafter(top, math.inf)),
+                                    "0->1", 1.0)

@@ -67,6 +67,28 @@ float_trees = st.recursive(
 )
 
 
+# the leaves and keys that the writer hands to the stdlib's encoder
+numpy_floats = any_float.map(np.float64)
+fallback_keys = st.one_of(
+    keys,
+    st.integers(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    any_float,
+    numpy_floats,
+    st.booleans(),
+    st.none(),
+)
+fallback_trees = st.recursive(
+    st.one_of(scalars, numpy_floats),
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.dictionaries(fallback_keys, children, max_size=6),
+    ),
+    max_leaves=60,
+)
+
+
 def stdlib(obj, sort_keys):
     return json.dumps(obj, indent=1, sort_keys=sort_keys)
 
@@ -81,6 +103,12 @@ def test_matches_stdlib_on_random_trees(obj, sort_keys):
 @given(float_trees, st.booleans())
 def test_matches_stdlib_on_long_zero_rows(obj, sort_keys):
     assert serialize.dumps_indented(obj, sort_keys) == stdlib(obj, sort_keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fallback_trees)
+def test_matches_stdlib_on_numpy_floats_and_non_string_keys(obj):
+    assert serialize.dumps_indented(obj) == stdlib(obj, False)
 
 
 @pytest.mark.parametrize("odd", [np.float64(0.0), np.float64(-0.0), np.float64(math.nan),
