@@ -226,9 +226,16 @@ def post_momentum(move: QuadraticMove, x_from, x_to) -> np.ndarray:
 
 def moves_tolerance(tol, *moves) -> Tolerance:
     """``tol`` measured against the moves' scale, the largest |entry| of
-    every a, b and c; a Tolerance keeps the scale it already carries."""
-    scale = max((m.scale for m in moves), default=0.0)
-    return tol if isinstance(tol, Tolerance) else Tolerance(tol, scale)
+    every a, b and c; a Tolerance keeps the scale it already carries.  A
+    scale at which a rank cut ``tol * n * ref`` could overflow, n up to 3Q
+    and ref up to Q times the scale, is an InputError."""
+    if isinstance(tol, Tolerance):
+        return tol
+    tol = Tolerance(tol, max((m.scale for m in moves), default=0.0))
+    if not np.isfinite(3.0 * max((m.dim for m in moves), default=0) ** 2 * tol * tol.scale):
+        raise InputError(f"the moves' scale {tol.scale!r} puts a rank cut at tol = {float(tol)!r} "
+                         "beyond float range")
+    return tol
 
 
 def validate(seq: MoveSequence, tol: float = DEFAULT_TOL) -> list:

@@ -4,7 +4,8 @@
 the tolerance, the move file with --hbar, and the --basis overrides.
 ``classify``, ``constraints``, ``compose``, ``quantum`` and ``report``
 share ``cmd_analysis``, and differ only in their row of ``_ANALYSES``;
-``evolve`` starts from the same analysis.
+``evolve`` starts from the same analysis.  JSON output is written as the
+unjoined pieces of ``serialize._pieces``, to --out only once they all exist.
 
 Exit codes: 0 success, 2 input error, 3 numerical degeneracy,
 4 constraint violation.
@@ -13,6 +14,7 @@ Exit codes: 0 success, 2 input error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -37,16 +39,13 @@ EXIT_DEGENERACY = 3
 EXIT_CONSTRAINT = 4
 
 
-def _write_line(text: str, out) -> None:
-    """Write ``text`` and a newline to the file ``out``, or print them.  The
-    newline is written on its own: ``text + "\\n"`` would copy a report of
-    many megabytes once more."""
-    if out:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.write("\n")
-    else:
-        print(text)
+def _write_line(pieces, out) -> None:
+    """Write the strings ``pieces`` and a newline to the file ``out``, or to
+    stdout.  They are written unjoined, and the newline on its own: joining
+    would copy a report of many megabytes once more."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as f:
+        f.writelines(pieces)
+        f.write("\n")
 
 
 def _analysis(args) -> reporting._Analysis:
@@ -90,8 +89,8 @@ def cmd_analysis(args) -> int:
     section = build(an, *(getattr(args, k) for k in ("step", "from_step", "to_step") if k in args))
     del an    # not held while the text is made: 0.6 MB of peak memory at N = 16
     report = section if key is None else {key: section}
-    text = reporting.report_to_json(report) if args.format == "json" else reporting.render_text(report)
-    _write_line(text, args.out)
+    _write_line(serialize._pieces(report, sort_keys=True) if args.format == "json"
+                else [reporting.render_text(report)], args.out)
     return 0
 
 
@@ -117,15 +116,15 @@ def cmd_evolve(args) -> int:
         "injected": res.injected,
     }
     if args.format == "json":
-        text = serialize._dumps(report)
+        pieces = serialize._pieces(report)
     else:
-        text = (
+        pieces = [
             f"step {out.step} ({out.momentum_side} side)\n"
             f"x = {np.array2string(out.x, precision=6)}\n"
             f"p = {np.array2string(out.p, precision=6)}\n"
             f"free rows: {res.free_rows}"
-        )
-    _write_line(text, args.out)
+        ]
+    _write_line(pieces, args.out)
     return 0
 
 

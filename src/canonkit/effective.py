@@ -18,7 +18,7 @@ from itertools import compress
 import numpy as np
 
 from .actions import MoveSequence, QuadraticMove, moves_tolerance
-from .classify import ClassifiedBasis, classify_rows, classify_step
+from .classify import NULL_TYPES, ClassifiedBasis, classify_rows, classify_step
 from .constraints import LinearConstraint, _stacked, primary_constraints, secondary_constraints
 from .errors import InputError, InternalError
 from .linalg import DEFAULT_TOL, numeric_rank, zero_cut
@@ -202,12 +202,18 @@ def chain_compose(seq: MoveSequence, from_step: int, to_step: int,
 
 
 def degeneracy_dims(move1, move2, eff: EffectiveMove, tol: float = DEFAULT_TOL) -> dict:
-    """Null-space dimensions of c1, c2, h and the effective c~, against the
-    scale of the two moves: each is n - rank, cut as ``right_null_basis``
-    cuts, without computing the null vectors."""
+    """Null-space dimensions of c1, c2, h and the effective c~.  The first
+    three are the label counts of the basis ``eff`` was glued at, at the
+    moves' shared step (I+H+r+rho, I+H+l+lambda and I+l+r+z rows), so no rank
+    is decided twice; a caller who glued at a supplied basis gets its counts,
+    and an ``eff`` with no basis there is an InputError.  Only c~ is ranked,
+    as n - rank at the moves' scale, cut as ``right_null_basis`` cuts."""
+    basis = next((b for b in getattr(eff, "glued_bases", ()) if b.step == move1.step_to), None)
+    if basis is None:
+        raise InputError(f"the effective move has no glued basis at step {move1.step_to}")
     tol = moves_tolerance(tol, move1, move2)
-    mats = {"c1": move1.c, "c2": move2.c, "h": move1.b + move2.a, "c_eff": eff.c}
-    return {name: m.shape[1] - numeric_rank(m, tol) for name, m in mats.items()}
+    return {"c1": len(basis.right_rows), "c2": len(basis.left_rows),
+            "h": len(basis.rows_of(*NULL_TYPES)), "c_eff": eff.dim - numeric_rank(eff.c, tol)}
 
 
 def count_monotonicity_check(move1, move2, eff: EffectiveMove,

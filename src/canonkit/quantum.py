@@ -28,6 +28,7 @@ from .evolution import observable_block
 from .linalg import DEFAULT_TOL, asymmetry, numeric_rank, zero_cut
 
 TWO_PI = 2.0 * np.pi
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,19 @@ class Amplitude:
     def __post_init__(self):
         object.__setattr__(self, "i_exponent", int(self.i_exponent) % 8)
 
+    def _log_modulus(self) -> float:
+        """``log_modulus``; one whose exp is past float range is an InputError."""
+        if self.log_modulus > _LOG_FLOAT_MAX:
+            raise InputError(f"log_modulus = {float(self.log_modulus)!r}: modulus past float range")
+        return self.log_modulus
+
     @property
     def value(self) -> complex:
-        return np.exp(self.log_modulus + 1j * (np.pi / 4.0 * self.i_exponent + self.phase))
+        return np.exp(self._log_modulus() + 1j * (np.pi / 4.0 * self.i_exponent + self.phase))
 
     @property
     def modulus(self) -> float:
-        return float(np.exp(self.log_modulus))
+        return float(np.exp(self._log_modulus()))
 
     def times(self, other: "Amplitude") -> "Amplitude":
         return self.times_log(other.log_modulus, other.phase, other.i_exponent)

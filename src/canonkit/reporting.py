@@ -143,19 +143,17 @@ def effective_section(an, from_step, to_step):
     return section
 
 
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
-
-
 def _amplitude_fields(amp, name, hbar):
     """The reported ``log_modulus``, ``modulus`` and ``i_exponent`` of the
-    amplitude of kernel ``name``; a modulus past float range is an
-    InputError, raised before it is computed."""
+    amplitude of kernel ``name``; ``Amplitude``'s InputError for a modulus
+    past float range is raised again naming the kernel and hbar."""
     log_modulus = float(amp.log_modulus)
-    if log_modulus > _LOG_FLOAT_MAX:
+    try:
+        modulus = amp.modulus
+    except InputError as exc:
         raise InputError(f"kernel {name}: log_modulus = {log_modulus!r} at hbar = {hbar!r} "
-                         f"puts the modulus beyond float range")
-    return {"log_modulus": log_modulus, "modulus": float(amp.modulus),
-            "i_exponent": int(amp.i_exponent)}
+                         f"puts the modulus beyond float range") from exc
+    return {"log_modulus": log_modulus, "modulus": modulus, "i_exponent": int(amp.i_exponent)}
 
 
 def kernel_summary(kernel):

@@ -6,12 +6,12 @@ tuple, and hands only a scalar it has no text for (and a non-str key) to
 the stdlib's compact encoder.  Its public entry, ``dumps_indented``, returns
 exactly ``json.dumps(obj, indent=1, sort_keys=sort_keys)`` and, like it,
 rejects an ndarray.  Its private entry, ``_dumps``, also reads 1-D and 2-D
-float64 arrays as their ``tolist()``: the CLI's reports (through
-``reporting.report_to_json``), ``canonkit evolve --format json`` and move
-files (``save_sequence``) are written straight from the arrays, so no
-Python float is made for them.  ``reporting.full_report`` and
-``sequence_to_dict`` return the same trees in plain form, lists in place
-of the arrays, converted by ``float_rows``.
+float64 arrays as their ``tolist()``: the CLI's reports, ``canonkit evolve
+--format json`` and move files (``save_sequence``) are written straight from
+the arrays, so no Python float is made for them, and as the pieces
+``_pieces`` returns, so no joined text of the whole file is made either.
+``reporting.full_report`` and ``sequence_to_dict`` return the same trees
+in plain form, lists in place of the arrays, converted by ``float_rows``.
 
 Almost every number written is an exact zero, and most rows repeat: a
 time-varying discretization lives in one space of Q = 8N - 4 zero-padded
@@ -85,12 +85,17 @@ def _dumps(obj, sort_keys: bool = False, arrays: bool = True) -> str:
     it read as its ``tolist()``.  Only 1-D and 2-D float64 arrays are read,
     each row from its bytes, so no Python float is made for it; any other
     array raises ``TypeError``."""
+    return "".join(_pieces(obj, sort_keys, arrays))
+
+
+def _pieces(obj, sort_keys: bool = False, arrays: bool = True) -> list:
+    """The strings of ``_dumps``'s text, in order, unjoined for ``writelines``."""
     chunks = []
     try:
         _write(obj, 0, sort_keys, chunks.append, arrays)
     finally:
         _ROW_TEXTS.clear()
-    return "".join(chunks)
+    return chunks
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -334,7 +339,9 @@ def sequence_from_dict(data: dict) -> MoveSequence:
 
 
 def save_sequence(seq: MoveSequence, path) -> None:
-    Path(path).write_text(_dumps(_sequence_tree(seq)), encoding="utf-8")
+    pieces = _pieces(_sequence_tree(seq))
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(pieces)
 
 
 def _read_bytes(path) -> bytes:

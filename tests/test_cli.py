@@ -832,3 +832,44 @@ def test_modulus_at_the_float_range_edge():
     with pytest.raises(InputError, match="kernel 0->1: log_modulus = "):
         reporting._amplitude_fields(Amplitude(log_modulus=math.nextafter(top, math.inf)),
                                     "0->1", 1.0)
+
+
+@pytest.mark.parametrize("command", [
+    ["report"], ["classify", "--step", "1"], ["compose", "--from", "0", "--to", "2"],
+    ["quantum", "compose", "--from", "0", "--to", "2"],
+])
+def test_scale_at_which_a_rank_cut_overflows_exit_2(fixture_files, tmp_path, capsys, command):
+    moves, _ = fixture_files
+    data = json.loads(moves.read_text())
+    data["moves"][0]["a"][0][0] = 1e308
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data, indent=1))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)   # no rank cut is computed to overflow
+        code = main([*command, "--input", str(big), "--tol", "0.9"])
+    assert code == 2
+    assert "the moves' scale 1e+308 puts a rank cut at tol = 0.9" in capsys.readouterr().err
+    # at the default tolerance the same file is analysed as before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*command, "--input", str(big), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", [
+    ["report"], ["classify", "--step", "1"], ["constraints", "--step", "2"],
+    ["compose", "--from", "0", "--to", "2"], ["quantum", "compose", "--from", "0", "--to", "2"],
+    ["quantum", "propagator", "--from", "0", "--to", "2"],
+])
+def test_stdout_and_out_file_are_the_same_bytes(fixture_files, tmp_path, capsys, command, fmt):
+    moves, _ = fixture_files
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*command, "--input", str(moves), "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    assert main([*command, "--input", str(moves), "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == printed
+    if fmt == "json":
+        assert printed == json.dumps(json.loads(printed), indent=1, sort_keys=True) + "\n"

@@ -7,6 +7,7 @@ from helpers import designed_instance, regular_move
 from canonkit.actions import QuadraticMove, moves_tolerance, post_momentum, pre_momentum
 from canonkit.classify import classify_step
 from canonkit.effective import (
+    EffectiveMove,
     chain_compose,
     compose,
     count_monotonicity_check,
@@ -14,6 +15,7 @@ from canonkit.effective import (
     effective_constraints,
     reclassify_onshell,
 )
+from canonkit.errors import InputError
 from canonkit.lattice import expanding_square_sequence
 from canonkit.linalg import DEFAULT_TOL, left_null_basis, right_null_basis
 
@@ -381,6 +383,18 @@ def test_degeneracy_dims_are_the_null_basis_dimensions(rng):
         mats = {"c1": m1.c, "c2": m2.c, "h": m1.b + m2.a, "c_eff": eff.c}
         assert degeneracy_dims(m1, m2, eff) == {
             name: right_null_basis(m, tol).dim for name, m in mats.items()}
+
+
+def test_degeneracy_dims_need_the_glued_basis_at_the_shared_step(rng):
+    m1, m2 = designed_instance(rng, {"I": 1, "lambda": 1, "rho": 1, "z": 1, "gamma": 2})
+    eff = compose(m1, m2, classify_step(m1.c, m2.c, m1.b + m2.a, step=1))
+    # the same composed data, glued nowhere: the null dimensions of c1, c2
+    # and h have no classification to be read from
+    bare = EffectiveMove(eff.step_from, eff.step_to, eff.a, eff.b, eff.c)
+    with pytest.raises(InputError, match="no glued basis at step 1"):
+        degeneracy_dims(m1, m2, bare)
+    with pytest.raises(InputError, match="no glued basis at step 1"):
+        count_monotonicity_check(m1, m2, bare)
 
 
 def test_monotonicity_regular(rng):

@@ -11,10 +11,11 @@ from helpers import (
 )
 
 from canonkit.actions import QuadraticMove
-from canonkit.classify import classify_step
+from canonkit.classify import classify_sequence, classify_step
 from canonkit.constraints import LinearConstraint, primary_constraints
 from canonkit.effective import compose
 from canonkit.errors import DivergenceError, InputError
+from canonkit.lattice import expanding_square_sequence
 from canonkit.quantum import (
     Amplitude,
     GaussianDeltaKernel,
@@ -45,6 +46,20 @@ def test_amplitude_lattice():
     assert prod.log_modulus == pytest.approx(0.5)
     assert prod.i_exponent == 2
     assert prod.phase == pytest.approx(0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_amplitude_past_float_range_is_an_input_error():
+    # no exp is taken of a log modulus past float range: an InputError, not inf
+    seq = expanding_square_sequence(3).sequence
+    bases = classify_sequence(seq)
+    amp = propagator_from_move(seq.moves[2], bases[2], bases[3], hbar=1e-100).amplitude
+    assert amp.log_modulus > 709.8
+    for attr in ("modulus", "value"):
+        with pytest.raises(InputError, match=r"log_modulus = [0-9.]+: modulus past float range"):
+            getattr(amp, attr)
+    top = Amplitude(log_modulus=float(np.log(np.finfo(float).max)))
+    assert np.isfinite(top.modulus) and np.isfinite(top.value)
 
 
 def test_lattice_move_measures(square_fixture):

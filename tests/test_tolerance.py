@@ -39,6 +39,7 @@ from canonkit.linalg import (
     DEFAULT_TOL,
     Tolerance,
     asymmetry,
+    left_null_basis,
     numeric_rank,
     restricted_inverse,
     right_null_basis,
@@ -275,6 +276,26 @@ def test_degenerate_directions_never_drop_under_composition(sizes, seed, kind):
     assert count_monotonicity_check(m1, m2, eff)
     d = degeneracy_dims(m1, m2, eff)
     assert d["c_eff"] >= max(d["c1"], d["c2"], d["h"])
+
+
+@INVARIANTS
+@given(sizes_strategy, seeds, st.integers(min_value=-6, max_value=6),
+       st.integers(min_value=0, max_value=5))
+def test_degeneracy_dims_are_the_null_basis_dimensions_at_the_moves_scale(sizes, seed, k, pad):
+    # degeneracy_dims reads c1, c2 and h from the glued step's label counts;
+    # scaled, rotated and zero-padded, they are the null dimensions that
+    # right_null_basis and left_null_basis find at the moves' Tolerance
+    rng = np.random.default_rng(seed)
+    m1, m2 = designed_instance(rng, sizes)
+    m1, m2 = _padded(*_conjugated(m1.scaled(10.0 ** k), m2.scaled(10.0 ** k), rng), pad)
+    tol = moves_tolerance(DEFAULT_TOL, m1, m2)
+    h = m1.b + m2.a
+    eff = compose(m1, m2, classify_step(m1.c, m2.c, h, tol, step=1), tol)
+    d = degeneracy_dims(m1, m2, eff)
+    assert (d["c1"], d["c2"], d["h"]) == (right_null_basis(m1.c, tol).dim,
+                                          left_null_basis(m2.c, tol).dim,
+                                          right_null_basis(h, tol).dim)
+    assert count_monotonicity_check(m1, m2, eff)
 
 
 @INVARIANTS
