@@ -11,12 +11,11 @@ are the source of every constraint downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry, with_scale
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,6 @@ class QuadraticMove:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
-
-    @cached_property
-    def scale(self) -> float:
-        """The largest |entry| of a, b and c, computed once per move."""
-        return max((np.abs(m).max() for m in (self.a, self.b, self.c) if m.size), default=0.0)
 
     def action(self, x_from, x_to) -> float:
         x0 = np.asarray(x_from, dtype=float)
@@ -113,8 +107,8 @@ class MoveSequence:
         for m in moves:
             if m.dim != self.dim:
                 raise InputError("all moves must share the sequence dimension")
-        if not 0 < self.hbar < np.inf:
-            raise InputError("hbar must be positive and finite")
+        if not 0 < self.hbar < np.finfo(float).max / (2 * np.pi):   # 2 pi hbar is logged
+            raise InputError("hbar must be positive and finite, and 2 pi hbar in float range")
         object.__setattr__(self, "moves", moves)
 
     @property
@@ -225,17 +219,8 @@ def post_momentum(move: QuadraticMove, x_from, x_to) -> np.ndarray:
 
 
 def moves_tolerance(tol, *moves) -> Tolerance:
-    """``tol`` measured against the moves' scale, the largest |entry| of
-    every a, b and c; a Tolerance keeps the scale it already carries.  A
-    scale at which a rank cut ``tol * n * ref`` could overflow, n up to 3Q
-    and ref up to Q times the scale, is an InputError."""
-    if isinstance(tol, Tolerance):
-        return tol
-    tol = Tolerance(tol, max((m.scale for m in moves), default=0.0))
-    if not np.isfinite(3.0 * max((m.dim for m in moves), default=0) ** 2 * tol * tol.scale):
-        raise InputError(f"the moves' scale {tol.scale!r} puts a rank cut at tol = {float(tol)!r} "
-                         "beyond float range")
-    return tol
+    """``with_scale`` of the moves' a, b and c: their scale, and its float-range guard."""
+    return with_scale(tol, *(mat for m in moves for mat in (m.a, m.b, m.c)))
 
 
 def validate(seq: MoveSequence, tol: float = DEFAULT_TOL) -> list:

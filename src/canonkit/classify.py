@@ -181,8 +181,8 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
     rank rule.  Signs are fixed once per group.  An outer step holds only
     I, H, r, rho (no c_prev) or I, H, l, lambda (no c_next), built in at most
     5 decompositions, with rho's (lambda's) singular values in gamma's place.
-    Scales, |det T| and label groups are computed once per object: a move's
-    or basis' matrices are not to be changed after construction.
+    |det T| and label groups are computed once per basis: a basis' matrices
+    are not to be changed after construction.
     """
     h = as_matrix(h)
     q = h.shape[0]
@@ -367,6 +367,12 @@ def hessian_block(basis: ClassifiedBasis, h, row_types, col_types) -> np.ndarray
 
 
 def m_lambda_rho(basis: ClassifiedBasis, h, tol: float = None) -> int:
-    """Rank of the (lambda, rho) block of the Hessian in this basis."""
-    tol = with_scale(basis.tol if tol is None else tol, h)
-    return numeric_rank(hessian_block(basis, h, "lambda", "rho"), tol)
+    """Rank of the (H, lambda) x (H, rho) block of T h Tᵀ less N_H.  The primary
+    brackets vanish off that block, so their rank is 2 N_H + 2m, kept by lambda
+    += X H and rho += Y H.  A rank below N_H, a commuting pair, is a DegeneracyError."""
+    n_h = len(basis.rows_of("H"))
+    m = numeric_rank(hessian_block(basis, h, ("H", "lambda"), ("H", "rho")),
+                     with_scale(basis.tol if tol is None else tol, h)) - n_h
+    if m < 0:
+        raise DegeneracyError(f"step {basis.step}: a second-class pair commutes (block rank < N_H)")
+    return m

@@ -14,11 +14,11 @@ Exit codes: 0 success, 2 input error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +40,9 @@ EXIT_CONSTRAINT = 4
 
 
 def _write_line(pieces, out) -> None:
-    """Write the strings ``pieces`` and a newline to the file ``out``, or to
-    stdout.  They are written unjoined, and the newline on its own: joining
-    would copy a report of many megabytes once more."""
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as f:
-        f.writelines(pieces)
-        f.write("\n")
+    """Write ``pieces`` and a newline to ``out`` or stdout, unjoined: a join copies a report."""
+    lines = chain(pieces, ["\n"])
+    serialize._write_file(out, lines) if out else sys.stdout.writelines(lines)
 
 
 def _analysis(args) -> reporting._Analysis:
@@ -212,7 +209,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegeneracyError, InternalError) as exc:
+    except (DegeneracyError, InternalError, np.linalg.LinAlgError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
     except ConstraintViolationError as exc:

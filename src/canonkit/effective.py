@@ -207,23 +207,22 @@ def degeneracy_dims(move1, move2, eff: EffectiveMove, tol: float = DEFAULT_TOL) 
     moves' shared step (I+H+r+rho, I+H+l+lambda and I+l+r+z rows), so no rank
     is decided twice; a caller who glued at a supplied basis gets its counts,
     and an ``eff`` with no basis there is an InputError.  Only c~ is ranked,
-    as n - rank at the moves' scale, cut as ``right_null_basis`` cuts."""
+    as n - rank at the moves' scale, cut as ``right_null_basis`` cuts; fewer
+    than the others is the InternalError of the monotonicity verdict."""
     basis = next((b for b in getattr(eff, "glued_bases", ()) if b.step == move1.step_to), None)
     if basis is None:
         raise InputError(f"the effective move has no glued basis at step {move1.step_to}")
     tol = moves_tolerance(tol, move1, move2)
-    return {"c1": len(basis.right_rows), "c2": len(basis.left_rows),
-            "h": len(basis.rows_of(*NULL_TYPES)), "c_eff": eff.dim - numeric_rank(eff.c, tol)}
-
-
-def count_monotonicity_check(move1, move2, eff: EffectiveMove,
-                             tol: float = DEFAULT_TOL) -> bool:
-    """Composition can only grow the number of degenerate directions."""
-    d = degeneracy_dims(move1, move2, eff, tol)
+    d = {"c1": len(basis.right_rows), "c2": len(basis.left_rows),
+         "h": len(basis.rows_of(*NULL_TYPES)), "c_eff": eff.dim - numeric_rank(eff.c, tol)}
     bound = max(d["c1"], d["c2"], d["h"])
     if d["c_eff"] < bound:
-        raise InternalError(
-            f"degenerate directions dropped under composition: {d['c_eff']} < {bound} "
-            "(tolerance problem or misclassification)"
-        )
+        raise InternalError(f"degenerate directions dropped under composition: {d['c_eff']} < "
+                            f"{bound} (tolerance problem or misclassification)")
+    return d
+
+
+def count_monotonicity_check(move1, move2, eff: EffectiveMove, tol: float = DEFAULT_TOL) -> bool:
+    """True, or ``degeneracy_dims``' InternalError: it owns the verdict."""
+    degeneracy_dims(move1, move2, eff, tol)
     return True

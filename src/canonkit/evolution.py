@@ -31,7 +31,7 @@ from .errors import (
     InputError,
     InternalError,
 )
-from .linalg import DEFAULT_TOL, check_regular, numeric_rank, with_scale, zero_cut
+from .linalg import DEFAULT_TOL, check_regular, with_scale, zero_cut
 
 
 @dataclass(frozen=True)
@@ -206,17 +206,17 @@ def boundary_solve(move1: QuadraticMove, move2: QuadraticMove,
         raise InputError("boundary configurations must match the dimension")
     if not (np.isfinite(x0).all() and np.isfinite(x2).all()):
         raise InputError("boundary configurations must be finite")
-    source = move1.c.T @ x0 + move2.c @ x2
     tol = moves_tolerance(tol, move1, move2)
+    source = move1.c.T @ x0 + move2.c @ x2
     cut = zero_cut(tol, q, max(np.abs(source).max(), np.abs(x0).max(), np.abs(x2).max()))
-    for label in ("z", "l", "r"):
-        for k in basis_mid.rows_of(label):
-            val = basis_mid.T[k] @ source
-            if abs(val) > cut:
-                kind = {"z": "boundary-data", "l": "holonomic", "r": "holonomic"}[label]
-                raise InconsistentBoundaryError(
-                    f"{kind} constraint from row {k} ({label}) violated by {val:.3e}"
-                )
+    rows = basis_mid.rows_of("l", "r", "z")
+    vals = basis_mid.T[rows] @ source
+    if vals.size and np.abs(vals).max() > cut:
+        k = int(np.argmax(np.abs(vals)))
+        label = basis_mid.labels[rows[k]]
+        kind = "boundary-data" if label == "z" else "holonomic"
+        raise InconsistentBoundaryError(
+            f"{kind} constraint from row {rows[k]} ({label}) violated by {vals[k]:.3e}")
 
     h_plus = basis_mid.restricted_hessian_inverse(move1.b + move2.a, tol)
     x_split = np.zeros(q)
@@ -266,8 +266,8 @@ def dof_report(move1: QuadraticMove, move2: QuadraticMove,
 
     n_through is 2(N_gamma + N_z + m_lambda_rho); the class counts are
     implied by the type counts, so 2Q - 2 #first - #second equals it by
-    construction.  m_lambda_rho, a rank of the (lambda, rho) block, never
-    exceeds N_lambda or N_rho.
+    construction.  second_class = 2 N_H + 2 m_lambda_rho is the rank of the
+    primary brackets, so no count depends on the basis within its labels.
     """
     if move1.step_to != basis_mid.step or move2.step_from != basis_mid.step:
         raise InputError("bases and moves are not aligned")
@@ -329,10 +329,10 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
 
     ``x`` supplies the already-known middle configuration (its lambda, rho
     and gamma components are read), ``post_pi`` the post-side split momenta
-    (its lambda components feed the lambda equations).  h_HH is factored
-    once: every block below is read off the Schur complement of h on
-    solutions of the H equations.  The m_lambda_rho fixed x^rho rows are the
-    first pivots of a column-pivoted QR of its lambda-rho block.  ``x_H``
+    (its lambda components feed the lambda equations).  h_HH is checked and
+    factored once: every block below is read off the Schur complement of h
+    on H solutions.  Its lambda-rho block has rank ``m_lambda_rho``; its m
+    fixed x^rho rows are the first pivots of a column-pivoted QR.  ``x_H``
     solves the H equations for the caller's x^rho, not for ``x_rho_fixed``:
     a caller that places those values must solve for x^H again.
     """
@@ -350,7 +350,7 @@ def fixed_variable_solve(basis: ClassifiedBasis, h, x, post_pi,
     x_h = -elim[:, tilde] @ x_split[tilde]
 
     s_lr = s[np.ix_(rows_l, rows_r)]
-    m = numeric_rank(s_lr, tol)
+    m = m_lambda_rho(basis, h, tol)
     fixed_rows = ()
     x_rho = np.zeros(0)
     if m:

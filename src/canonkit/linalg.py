@@ -72,11 +72,17 @@ class Tolerance(float):
 
 def with_scale(tol, *mats) -> Tolerance:
     """``tol`` against the largest |entry| of ``mats`` (None skipped), unless
-    it is a Tolerance already."""
+    it is a Tolerance already; ``moves_tolerance`` builds through it too.  A
+    scale at which a cut ``tol * n * ref`` could overflow (n up to 3Q, ref up
+    to Q times the scale, Q² the largest size in ``mats``) is an InputError."""
     if isinstance(tol, Tolerance):
         return tol
-    return Tolerance(tol, max((np.abs(m).max() for m in mats if m is not None and np.size(m)),
-                              default=0.0))
+    mats = [m for m in mats if m is not None and np.size(m)]
+    tol = Tolerance(tol, max((np.abs(m).max() for m in mats), default=0.0))
+    if not np.isfinite(3.0 * max(map(np.size, mats), default=0) * tol * tol.scale):
+        raise InputError(f"the moves' scale {tol.scale!r} puts a rank cut at tol = {float(tol)!r} "
+                         "beyond float range")
+    return tol
 
 
 def zero_cut(tol, n: int, ref=0.0):
@@ -326,17 +332,14 @@ def span_of_rows(rows, ambient_dim: int, tol: float = DEFAULT_TOL) -> Subspace:
 
 def check_regular(block, tol: float, what: str) -> None:
     """Raise DegeneracyError, naming ``what``, unless the square ``block`` is
-    invertible beyond tolerance: sigma_min > ``zero_cut`` at sigma_max.
+    invertible beyond tolerance: regular means full ``_rank_of`` rank.
 
     This is the one regularity rule for the blocks the classification
     promises to be invertible (the alpha block of the Hessian, the observable
     block c_AB, the H block).  An empty block is regular.
     """
     n = block.shape[0]
-    if n == 0:
-        return
-    sv = np.linalg.svd(block, compute_uv=False)
-    if sv[-1] <= zero_cut(tol, n, sv[0]):
+    if _rank_of(np.linalg.svd(block, compute_uv=False), n, tol) < n:
         raise DegeneracyError(f"{what} is singular beyond tolerance")
 
 

@@ -23,7 +23,6 @@ from .classify import VECTOR_TYPES, classify_sequence
 from .constraints import bracket_table, primary_constraints
 from .effective import (
     chain_compose,
-    count_monotonicity_check,
     degeneracy_dims,
     effective_constraints,
     effective_outer_bases,
@@ -138,8 +137,7 @@ def effective_section(an, from_step, to_step):
     }
     if dims is not None:
         section["degeneracy_dims"] = dims
-        count_monotonicity_check(m_first, m_last, eff, an.tol)
-        section["monotonicity_ok"] = True
+        section["monotonicity_ok"] = True   # degeneracy_dims raises otherwise
     return section
 
 

@@ -49,7 +49,9 @@ from __future__ import annotations
 import io
 import json
 import numbers
+import os
 import re
+import shutil
 from array import array
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -339,9 +341,27 @@ def sequence_from_dict(data: dict) -> MoveSequence:
 
 
 def save_sequence(seq: MoveSequence, path) -> None:
-    pieces = _pieces(_sequence_tree(seq))
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(pieces)
+    _write_file(path, _pieces(_sequence_tree(seq)))
+
+
+def _write_file(path, pieces) -> None:
+    """Write the strings ``pieces`` to the file ``path`` whole or not at all: to a new file
+    beside it, with ``open(path, "w")``'s mode, that ``os.replace`` moves into place."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):   # a device or a pipe is not replaced
+        with open(path, "w", encoding="utf-8") as f:
+            return f.writelines(pieces)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _read_bytes(path) -> bytes:

@@ -31,14 +31,15 @@ def random_symmetric(rng, n, scale=1.0):
     return scale * 0.5 * (m + m.T)
 
 
-def designed_instance(rng, sizes, scale=1.0, rotate=True):
+def designed_instance(rng, sizes, scale=1.0, rotate=True, schur=None):
     """Two adjacent moves whose middle step has prescribed type counts.
 
     ``sizes`` maps type labels (I, H, l, lambda, r, rho, z, gamma) to slot
     counts summing to Q.  Slots are assigned in that order; c1's right null
     space is exactly the I+H+r+rho slots, c2's left null space the
     I+H+l+lambda slots, and h vanishes exactly on I+l+r+z.  A random
-    rotation then hides the slot structure.
+    rotation then hides the slot structure.  ``schur`` is for
+    ``h_coupled_instance``.
     """
     order = ("I", "H", "l", "lambda", "r", "rho", "z", "gamma")
     counts = {t: sizes.get(t, 0) for t in order}
@@ -65,6 +66,12 @@ def designed_instance(rng, sizes, scale=1.0, rotate=True):
     # h: null space = I,l,r,z
     wk = selector(("H", "lambda", "rho", "gamma"))
     core = random_symmetric(rng, wk.shape[1], scale) + scale * np.eye(wk.shape[1]) * 2.0
+    if schur is not None:
+        ends = np.cumsum([0, counts["H"], counts["lambda"], counts["rho"]])
+        hh, ll, rr = (slice(a, b) for a, b in zip(ends, ends[1:]))
+        block = core[ll, hh] @ np.linalg.solve(core[hh, hh], core[hh, rr]) if schur else 0.0
+        core[ll, rr] = block
+        core[rr, ll] = np.transpose(block)
     h = wk @ core @ wk.T
 
     if rotate:
@@ -80,6 +87,16 @@ def designed_instance(rng, sizes, scale=1.0, rotate=True):
     move1 = QuadraticMove(0, 1, a1, b1, c1)
     move2 = QuadraticMove(1, 2, a2, b2, c2)
     return move1, move2
+
+
+def h_coupled_instance(rng, sizes, schur=False, scale=1.0, rotate=True):
+    """``designed_instance`` whose lambda and rho slots couple only through H:
+    the core's (lambda, rho) block is zero, or with ``schur`` the H Schur
+    term h_lambdaH h_HH⁻¹ h_Hrho.  m_lambda_rho, the rank of the Schur
+    complement of h_HH on that block, is then generically
+    min(N_H, N_lambda, N_rho) for the zero block and 0 for the Schur term,
+    while the raw block has rank 0 and full rank respectively."""
+    return designed_instance(rng, sizes, scale, rotate, schur=schur)
 
 
 def regular_move(rng, step_from, q, scale=1.0, c_min=0.5):

@@ -104,6 +104,17 @@ def test_full_report_classifies_each_step_and_range_once(monkeypatch, n_steps):
     assert counts["classify_step"] <= len(seq.steps) + 3
 
 
+def test_full_report_ranks_c_eff_once(monkeypatch):
+    seq = expanding_square_sequence(4, mass=0.5).sequence
+    counts = _count_calls(monkeypatch, canonkit.effective.degeneracy_dims,
+                          canonkit.effective.count_monotonicity_check)
+    report = reporting.full_report(seq)
+    # degeneracy_dims owns the monotonicity verdict: the report asks it once
+    assert counts["degeneracy_dims"] == 1
+    assert counts["count_monotonicity_check"] == 0
+    assert report["effective"]["monotonicity_ok"] is True
+
+
 def test_full_report_reads_hilbert_dims_off_the_bases(monkeypatch):
     seq = expanding_square_sequence(16, mass=0.5).sequence
     counts = _count_calls(monkeypatch, canonkit.quantum.hilbert_dims,

@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from canonkit import reporting, serialize
+from canonkit import cli, reporting, serialize
 from canonkit.cli import main
 from canonkit.errors import InputError
 from canonkit.lattice import expanding_square_sequence
@@ -873,3 +880,126 @@ def test_stdout_and_out_file_are_the_same_bytes(fixture_files, tmp_path, capsys,
     assert out.read_text(encoding="utf-8") == printed
     if fmt == "json":
         assert printed == json.dumps(json.loads(printed), indent=1, sort_keys=True) + "\n"
+
+
+# -- the exit contract under mutated move files ----------------------------------
+
+_SQUARE = serialize.sequence_to_dict(expanding_square_sequence(2, mass=0.5).sequence)
+_COMMANDS = (["classify", "--step", "1"], ["constraints", "--step", "1"],
+             ["compose", "--from", "0", "--to", "2"],
+             ["quantum", "propagator", "--from", "0", "--to", "2"],
+             ["quantum", "compose", "--from", "0", "--to", "2"], ["report"])
+_ENTRY = st.tuples(st.integers(0, 1), st.sampled_from("abc"), st.integers(0, 11), st.integers(0, 11))
+
+
+@st.composite
+def _mutation(draw):
+    """One change to the N = 2 square's move file, as (kind, where, value)."""
+    kind = draw(st.sampled_from(["leaf", "matrix", "hbar", "step", "asymmetric"]))
+    if kind in ("leaf", "matrix"):
+        return kind, draw(_ENTRY), 10.0 ** draw(st.integers(-320, 308))
+    if kind == "hbar":
+        return kind, None, draw(st.floats(allow_nan=False) | st.sampled_from([0.0, 1e-320, 1e-100]))
+    if kind == "step":
+        return kind, draw(st.integers(0, 1)), draw(st.integers(-2, 4))
+    return kind, draw(_ENTRY.filter(lambda e: e[1] != "c" and e[2] != e[3])), draw(
+        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+def _mutated(mutations) -> str:
+    data = json.loads(json.dumps(_SQUARE))
+    for kind, where, value in mutations:
+        if kind == "hbar":
+            data["hbar"] = value
+        elif kind == "step":
+            data["moves"][where]["n"] = value
+        else:
+            move, key, i, j = where
+            m = data["moves"][move][key]
+            if kind == "matrix":
+                data["moves"][move][key] = [[v * value for v in row] for row in m]
+            else:
+                m[i][j] = (m[i][j] or 1.0) * value if kind == "leaf" else m[i][j] + value
+    return json.dumps(data, indent=1)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(_mutation(), min_size=1, max_size=3),
+       tol=st.sampled_from([None, "0.9", "1e-14"]))
+# 2 pi hbar overflowed to a NaN measure; LAPACK's eigh did not converge on a 1e244 entry
+@example(mutations=[("hbar", None, 2.8611174857570283e+307)], tol=None)
+@example(mutations=[("leaf", (0, "b", 4, 2), 1e244)], tol="0.9")
+def test_mutated_move_files_keep_the_exit_contract(mutations, tol):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "moves.json"
+        path.write_text(_mutated(mutations), encoding="utf-8")
+        for command in _COMMANDS:
+            argv = [*command, "--input", str(path), "--format", "json"]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv + (["--tol", tol] if tol else []))
+            assert code in (0, 2, 3, 4), (command, code)
+            assert not caught, (command, [str(w.message) for w in caught])
+            if code == 0:
+                json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# -- --out and move files are written whole or not at all -------------------------
+
+def _failing(pieces, after):
+    yield from pieces[:after]
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: serialize._write_file(path, _failing(["{", '"a": 1', "}"], 2)),
+    lambda path: cli._write_line(_failing(["{", '"a": 1', "}"], 1), str(path)),
+])
+def test_failed_write_leaves_the_target_and_no_temporary_file(tmp_path, write):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(OSError, match="no space left"):
+        write(target)
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+def test_written_files_keep_the_mode_open_gives(fixture_files, tmp_path):
+    moves, _ = fixture_files
+    reference = tmp_path / "reference"
+    open(reference, "w").close()
+    out = tmp_path / "report.json"
+    assert main(["report", "--input", str(moves), "--format", "json", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    saved = tmp_path / "saved.json"
+    serialize.save_sequence(serialize.load_sequence(moves), saved)
+    assert stat.S_IMODE(saved.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    # an existing file keeps its own mode, as open(path, "w") keeps it
+    os.chmod(out, 0o640)
+    assert main(["report", "--input", str(moves), "--format", "json", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bases.json", "moves.json", "reference",
+                                                          "report.json", "saved.json"]
+
+
+def test_out_through_a_link_or_a_pipe_writes_to_what_it_names(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    cli._write_line(["{", "}"], str(link))
+    assert link.is_symlink() and target.read_text() == "{}\n"
+    # a pipe is written in place, never replaced by a file
+    fifo, got = tmp_path / "pipe", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(open(fifo, "rb").read()), daemon=True)
+    reader.start()
+    cli._write_line(["{", "}"], str(fifo))
+    reader.join(10)
+    assert got == [b"{}\n"] and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "target.json"]
