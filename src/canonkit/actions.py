@@ -18,6 +18,12 @@ from .errors import InputError
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry, with_scale
 
 
+def check_hbar(hbar) -> None:
+    """The hbar rule: 0 < hbar, and 2 pi hbar (logged by measures) in float range."""
+    if not 0 < hbar < np.finfo(float).max / (2 * np.pi):
+        raise InputError("hbar must be positive and finite, and 2 pi hbar in float range")
+
+
 @dataclass(frozen=True)
 class QuadraticMove:
     """One evolution move on the common (extended) configuration space."""
@@ -107,8 +113,7 @@ class MoveSequence:
         for m in moves:
             if m.dim != self.dim:
                 raise InputError("all moves must share the sequence dimension")
-        if not 0 < self.hbar < np.finfo(float).max / (2 * np.pi):   # 2 pi hbar is logged
-            raise InputError("hbar must be positive and finite, and 2 pi hbar in float range")
+        check_hbar(self.hbar)
         object.__setattr__(self, "moves", moves)
 
     @property

@@ -6,7 +6,10 @@ as two units and a square root of i as one), and a continuous residual
 phase.  Square roots of (+-2 pi i hbar)^n and Fresnel signature phases
 land on the eighth-turn lattice, which keeps composed measures exactly
 reproducible.
-"""
+
+States are projected and evolved by Gaussian integrals, each one real
+congruence of its exponent's matrix G that decides divergence and gives
+the branch of det(-iG)^(-1/2) and G⁻¹ (``_gaussian_integral``)."""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import QuadraticMove, moves_tolerance
+from .actions import QuadraticMove, check_hbar, moves_tolerance
 from .classify import ALPHA_TYPES, ClassifiedBasis, hessian_block
 from .constraints import _brackets, _stacked, independent_count
 from .effective import compose
@@ -68,31 +71,6 @@ class Amplitude:
         )
 
 
-def _principal_logdet_neg_i(g: np.ndarray) -> complex:
-    """log det(-iG) for complex symmetric G with positive definite Im G.
-
-    Each eigenvalue of -iG then has real part at least lambda_min(Im G) > 0
-    (``_check_im_positive``), so the principal branch is taken eigenvalue by
-    eigenvalue.
-    """
-    if g.shape[0] == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(np.log(np.linalg.eigvals(-1j * g))))
-
-
-def _check_im_positive(g: np.ndarray, tol: float, what: str):
-    if g.shape[0] == 0:
-        return
-    im = 0.5 * (g - g.conj().T) / 1j
-    im = 0.5 * (im + im.T).real
-    vals = np.linalg.eigvalsh(im)
-    if vals[0] <= zero_cut(tol, g.shape[0], np.abs(g).max()):
-        raise DivergenceError(
-            f"{what}: integral over a flat or growing direction diverges "
-            "(double projection or non-normalizable state)"
-        )
-
-
 @dataclass(frozen=True)
 class GaussianDeltaKernel:
     """amplitude * exp(i(x_inᵀ A x_in/2 + x_inᵀ C x_out + x_outᵀ B x_out/2)/hbar)
@@ -114,8 +92,7 @@ class GaussianDeltaKernel:
     move: QuadraticMove = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.hbar < np.inf:
-            raise InputError("hbar must be positive and finite")
+        check_hbar(self.hbar)
         move = QuadraticMove(self.in_step, self.out_step, self.A, self.B, self.C)
         object.__setattr__(self, "move", move)
         object.__setattr__(self, "A", move.a)
@@ -187,6 +164,7 @@ def _move_measure(c, basis_from: ClassifiedBasis, basis_to: ClassifiedBasis,
                   hbar: float, tol: float) -> Amplitude:
     """sqrt((-2 pi i hbar)^(-N_A) |det T_from^-1 det c_AB det T_to^-1|) for
     the cross matrix ``c`` between two classified steps."""
+    check_hbar(hbar)
     _, _, c_ab = observable_block(c, basis_from, basis_to, tol)
     n_a = c_ab.shape[0]
     logdet_cab = np.linalg.slogdet(c_ab)[1] if n_a else 0.0
@@ -308,8 +286,7 @@ class GaussianState:
             raise InputError("M and j must be finite")
         if asymmetry(m, DEFAULT_TOL):
             raise InputError("M must be (complex) symmetric")
-        if not 0 < self.hbar < np.inf:
-            raise InputError("hbar must be positive and finite")
+        check_hbar(self.hbar)
         object.__setattr__(self, "M", m)
         object.__setattr__(self, "j", j)
 
@@ -345,16 +322,33 @@ def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
     form: the new quadratic and linear terms m0 - wᵀ g⁻¹ w and
     j0 - wᵀ g⁻¹ w0 in y, and ``amp`` times exp(log_measure) det(-ig)^(-1/2)
     exp(i const/hbar) with const = -w0ᵀ g⁻¹ w0 / 2; each caller brings its
-    own power of 2 pi hbar."""
-    _check_im_positive(g, tol, what)
-    logdet = _principal_logdet_neg_i(g)
-    g_inv = np.linalg.inv(g)
-    const = -0.5 * w0 @ g_inv @ w0
+    own power of 2 pi hbar.
+
+    One real congruence of sym(g), the part the integral sees, gives it all:
+    Im sym(g) = V Λ Vᵀ diverges unless λ_min is above ``zero_cut``;
+    H = V Λ^(-1/2) and Hᵀ Re sym(g) H = W diag(μ) Wᵀ make R = H W with
+    Rᵀ g R = diag(μ + i), so g⁻¹ = R diag(1/(μ + i)) Rᵀ and log det(-ig) =
+    Σ log λ + Σ log(1 - iμ), each term principal (Re(1 - iμ) = 1) and the sum
+    the branch continued from Re g = 0."""
+    sym = 0.5 * (g + g.T)
+    lam, v = np.linalg.eigh(sym.imag)
+    if lam.size and lam[0] <= zero_cut(tol, g.shape[0], np.abs(g).max()):
+        raise DivergenceError(
+            f"{what}: integral over a flat or growing direction diverges "
+            "(double projection or non-normalizable state)"
+        )
+    h = v / np.sqrt(lam)
+    mu, rot = np.linalg.eigh(h.T @ sym.real @ h)
+    r = h @ rot
+    d = 1.0 / (mu + 1j)
+    y, y0 = r.T @ w, r.T @ w0
+    logdet = np.sum(np.log(lam)) + np.sum(np.log(1.0 - 1j * mu))
+    const = -0.5 * np.sum(d * y0 * y0)
     amp = amp.times_log(
         log_measure - 0.5 * logdet.real - const.imag / hbar,
         phase=-0.5 * logdet.imag + const.real / hbar,
     )
-    return m0 - w.T @ g_inv @ w, j0 - w.T @ g_inv @ w0, amp
+    return m0 - y.T @ (d[:, None] * y), j0 - y.T @ (d * y0), amp
 
 
 def project_physical(state: GaussianState, constraints, side: str,
@@ -383,8 +377,8 @@ def project_physical(state: GaussianState, constraints, side: str,
     u, v = (stacked[0][:, k * q:(k + 1) * q].T.copy() for k in (0, 1))
     hbar = state.hbar
 
-    g = u.T @ state.M @ u + 0.5 * (u.T @ v + v.T @ u)
     w_mat = u.T @ state.M + v.T                          # theta(x) = w_mat x + w0
+    g = w_mat @ u + 0.5 * (u.T @ v - v.T @ u)
     w0 = u.T @ state.j
     m_new, j_new, amp = _gaussian_integral(g, w_mat, w0, state.M, state.j, state.amplitude,
                                            -0.5 * len(cons) * np.log(TWO_PI * hbar), hbar, tol,

@@ -177,6 +177,33 @@ def oracle_gaussian_integral(h, j, hbar=1.0, eps_ladder=None):
     )
 
 
+def continued_logdet_neg_i(a, b, max_turn=0.3):
+    """log det(-i(a + ib)) for real symmetric a and positive definite b,
+    continued along t -> -i(t a + i b) from t = 0, where it is the real
+    log det b.  Each step is sized from the path's derivative
+    tr(M⁻¹ dM/dt) and halved while the determinant's phase turns by more
+    than ``max_turn`` over it.  No eigenvalue branch rule enters.
+    """
+    a, b = np.asarray(a, float), np.asarray(b, float)
+
+    def slog(t):
+        return np.linalg.slogdet(-1j * (t * a + 1j * b))
+
+    sign, logabs = slog(0.0)
+    t, phase = 0.0, 0.0
+    while t < 1.0:
+        rate = abs(np.trace(np.linalg.solve(b - 1j * t * a, -1j * a)))
+        dt = min(1.0 - t, max_turn / rate if rate else 1.0)
+        while True:
+            new_sign, new_logabs = slog(t + dt)
+            turn = float(np.angle(new_sign / sign))
+            if abs(turn) <= max_turn:
+                break
+            dt *= 0.5
+        t, sign, logabs, phase = t + dt, new_sign, new_logabs, phase + turn
+    return complex(logabs, phase)
+
+
 def oracle_compose_value(k1, k2, x_in, x_out, eps_ladder=EPS_LADDER):
     """Quadrature value of integral over the glued step of k1*k2 at a point."""
     h = k1.B + k2.A

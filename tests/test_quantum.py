@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
+    continued_logdet_neg_i,
     designed_instance,
     oracle_compose_value,
     oracle_compose_value_damped,
     random_orthogonal,
+    random_symmetric,
     regular_move,
 )
 
@@ -16,10 +20,12 @@ from canonkit.constraints import LinearConstraint, primary_constraints
 from canonkit.effective import compose
 from canonkit.errors import DivergenceError, InputError
 from canonkit.lattice import expanding_square_sequence
+from canonkit.linalg import DEFAULT_TOL, zero_cut
 from canonkit.quantum import (
     Amplitude,
     GaussianDeltaKernel,
     GaussianState,
+    _gaussian_integral,
     check_annihilation,
     compose_kernels,
     evolve_state,
@@ -592,3 +598,124 @@ def test_delta_labels_must_match_the_delta_rows():
     with pytest.raises(InputError, match="one per delta row"):
         GaussianDeltaKernel(0, 1, 1.0, Amplitude(), np.zeros((2, 2)), np.zeros((2, 2)),
                             np.eye(2), deltas=np.eye(4)[:2], delta_labels=("only-one",))
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _spd(rng, eigenvalues):
+    q = random_orthogonal(rng, len(eigenvalues))
+    b = (q * eigenvalues) @ q.T
+    return 0.5 * (b + b.T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(8, 3, 6.0, 2.0, 3.0)      # half the phase of det(-iG) is -4.71, past -pi
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=0.0, max_value=6.0), st.floats(min_value=-2.0, max_value=2.0),
+       st.floats(min_value=-3.0, max_value=3.0))
+def test_gaussian_integral_branch_and_terms(n, seed, log_cond, log_scale, shift):
+    # G = A + iB with B positive definite of condition number up to 1e6 and
+    # A, which does not commute with B, up to 1e2 and shifted toward one
+    # sign, so the phase of det(-iG) winds past +-pi.  The amplitude must
+    # carry det(-iG)^(-1/2) on the branch continued from A = 0, not one taken
+    # mod 2 pi; the new terms must be G's solves.
+    rng = np.random.default_rng(seed)
+    lam = 10.0 ** (-log_cond * rng.uniform(size=n))
+    lam[0] = 10.0 ** -log_cond
+    lam[-1] = 1.0 if n > 1 else lam[-1]
+    a = 10.0 ** log_scale * (random_symmetric(rng, n) + shift * np.eye(n))
+    b = _spd(rng, lam)
+    g = a + 1j * b
+    k = int(rng.integers(0, 4))
+    w, w0 = _complex_normal(rng, n, k), _complex_normal(rng, n)
+    m0, j0 = _complex_normal(rng, k, k), _complex_normal(rng, k)
+    m0 = 0.5 * (m0 + m0.T)
+
+    _, _, amp = _gaussian_integral(g, w, np.zeros(n), m0, j0, Amplitude(), 0.0, 1.0,
+                                   DEFAULT_TOL, "test")
+    logdet = continued_logdet_neg_i(a, b)
+    assert amp.i_exponent == 0
+    assert amp.log_modulus == pytest.approx(-0.5 * logdet.real, abs=1e-8)
+    assert amp.phase == pytest.approx(-0.5 * logdet.imag, abs=1e-8)
+
+    m_new, j_new, amp_w0 = _gaussian_integral(g, w, w0, m0, j0, Amplitude(), 0.0, 1.0,
+                                              DEFAULT_TOL, "test")
+    g_w, g_w0 = np.linalg.solve(g, w), np.linalg.solve(g, w0)
+    const = -0.5 * w0 @ g_w0
+    atol = 1e-8 * max(1.0, np.abs(g_w).max(initial=0.0), np.abs(g_w0).max()) \
+        * max(1.0, np.abs(w).max(initial=0.0))
+    assert_allclose(m_new, m0 - w.T @ g_w, rtol=0, atol=atol)
+    assert_allclose(j_new, j0 - w.T @ g_w0, rtol=0, atol=atol)
+    tol_const = 1e-8 * max(1.0, abs(const))
+    assert amp_w0.log_modulus - amp.log_modulus == pytest.approx(-const.imag, abs=tol_const)
+    assert amp_w0.phase - amp.phase == pytest.approx(const.real, abs=tol_const)
+
+    # an eigenvalue of Im G at or below the cut: the integral diverges
+    # max|G| >= max|A|, so half the cut at max|A| is below the cut
+    cut = zero_cut(DEFAULT_TOL, n, np.abs(a).max())
+    for low in (0.5 * cut, 0.0, -1.0):
+        flat = lam.copy()
+        flat[0] = low
+        with pytest.raises(DivergenceError, match="test: integral over a flat or growing"):
+            _gaussian_integral(a + 1j * _spd(np.random.default_rng(seed), flat), w, w0, m0,
+                               j0, Amplitude(), 0.0, 1.0, DEFAULT_TOL, "test")
+
+
+def test_gaussian_integral_takes_two_eigh(monkeypatch):
+    # one real congruence per Gaussian integral: eigh of Im G, then eigh of
+    # the congruent Re G; no complex eigensolver and no inverse
+    from canonkit import quantum
+
+    seq = expanding_square_sequence(4, mass=0.5).sequence
+    bases = classify_sequence(seq)
+    q = seq.dim
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvals", "eigvalsh", "eig", "inv", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(quantum, "_gaussian_integral",
+                        counted("integral", quantum._gaussian_integral))
+    n_integrals = 0
+    for m in seq.moves:
+        k = propagator_from_move(m, bases[m.step_from], bases[m.step_to], hbar=seq.hbar)
+        pre = [c for c in primary_constraints(None, m, bases[m.step_from]) if c.kind == "pre"]
+        state = GaussianState(m.step_from, seq.hbar, Amplitude(), M=-m.a + 1j * np.eye(q),
+                              j=np.zeros(q))
+        calls.clear()
+        evolve_state(k, project_physical(state, pre, "pre"))
+        n_integrals += calls.count("integral")
+        assert calls == ["integral", "eigh", "eigh"] * calls.count("integral"), calls
+    assert n_integrals >= 2 * len(seq.moves) - 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hbar_whose_2_pi_hbar_overflows_is_an_input_error():
+    # 2 pi hbar, logged by every measure, leaves float range above
+    # hbar = 2.8611e307; no kernel or state is built there, and no NaN or
+    # -inf amplitude comes out of one
+    seq = expanding_square_sequence(2, mass=0.5).sequence
+    bases = classify_sequence(seq)
+    m = seq.moves[0]
+    for hbar in (2.87e307, np.finfo(float).max):
+        for move in seq.moves:
+            with pytest.raises(InputError, match="2 pi hbar in float range"):
+                propagator_from_move(move, bases[move.step_from], bases[move.step_to], hbar=hbar)
+        with pytest.raises(InputError, match="2 pi hbar in float range"):
+            GaussianDeltaKernel(0, 1, hbar, Amplitude(), m.a, m.b, m.c)
+        with pytest.raises(InputError, match="2 pi hbar in float range"):
+            GaussianState(0, hbar, Amplitude(), M=[[1j]], j=[0.0])
+    state = GaussianState(0, 2.86e307, Amplitude(), M=[[1j]], j=[0.0])
+    out = project_physical(state, [LinearConstraint(0, "pre", p_coeffs=[1.0], x_coeffs=[0.0])],
+                           "pre")
+    assert np.isfinite(out.amplitude.log_modulus)
+    for move in seq.moves:
+        k = propagator_from_move(move, bases[move.step_from], bases[move.step_to], hbar=2.86e307)
+        assert np.isfinite(k.log_modulus)
