@@ -84,10 +84,11 @@ def cmd_analysis(args) -> int:
     if "step" in args and args.step not in an.seq.steps:
         raise InputError(f"step {args.step} not in sequence")
     section = build(an, *(getattr(args, k) for k in ("step", "from_step", "to_step") if k in args))
+    tol = an.tol
     del an    # not held while the text is made: 0.6 MB of peak memory at N = 16
     report = section if key is None else {key: section}
     _write_line(serialize._pieces(report, sort_keys=True) if args.format == "json"
-                else [reporting.render_text(report)], args.out)
+                else [reporting.render_text(report, tol)], args.out)
     return 0
 
 

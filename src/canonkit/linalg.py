@@ -15,21 +15,21 @@ from small SVDs of them instead of stacked Q x Q projectors.
 The kernels work on plain stacks of orthonormal rows, and each
 decomposition returns all it determines.  ``_null_rows`` takes one full
 SVD; ``_symmetric_null_rows`` takes one ``eigh`` of a symmetric matrix,
-whose singular values are its |eigenvalues|, under the same cut.
-``_intersect_rows`` decides on the sines of the principal angles (Björck
-& Golub, Math. Comp. 27, 1973; Golub & Van Loan §6.4), with the cut
-``4 * Q * tol`` in ambient dimension Q, and returns the intersection
-together with its complement in its first operand.  ``_difference_rows``
-takes a small right null space with the threshold of ``right_null_basis``
-at the scale of the stacked matrix it replaces, and returns the singular
-values it cut: when the excluded rows are linearly independent, they and
-ones are the singular values of the excluded rows stacked over the result,
-so ``_completed_rank`` reads that stack's rank off them without another
-SVD.  ``right_null_basis``, ``left_null_basis``, ``intersect`` and
-``subtract`` are ``Subspace`` wrappers over these kernels.  Null rows are
-ordered by ascending singular value, then index, and each returned basis
-has the sign of every vector fixed once, so identical inputs always
-produce bit-identical outputs.
+whose singular values are its |eigenvalues|, under the same cut; every
+split of a decomposition into kept and null rows is ``_split_rows``.
+``_intersect_rows`` decides on the sines of the principal angles (Björck &
+Golub, Math. Comp. 27, 1973; Golub & Van Loan §6.4), with ``zero_cut`` at
+reference 1 in dimension 4Q, and returns the intersection together with its
+complement in its first operand.  ``_difference_rows`` takes a small right
+null space with the threshold of ``right_null_basis`` at the scale of the
+stacked matrix it replaces, and returns the singular values it cut: when
+the excluded rows are linearly independent, they and ones are the singular
+values of the excluded rows stacked over the result, so ``_completed_rank``
+reads that stack's rank off them without another SVD.  ``right_null_basis``,
+``left_null_basis``, ``intersect`` and ``subtract`` are ``Subspace``
+wrappers over these kernels.  Null rows are ordered by ascending singular
+value, then index, and each returned basis has the sign of every vector
+fixed once, so identical inputs always produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ class Subspace:
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return True
-        return np.linalg.norm(v - self.projector() @ v) <= tol * self.ambient_dim * nv
+        return np.linalg.norm(v - self.projector() @ v) <= zero_cut(float(tol), self.ambient_dim, nv)
 
     def same_span(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         """Span equality, checked by mutual projection residuals."""
@@ -157,7 +157,7 @@ class Subspace:
             return True
         r1 = np.linalg.norm(self.complement_projector() @ other.basis)
         r2 = np.linalg.norm(other.complement_projector() @ self.basis)
-        return max(r1, r2) <= tol * self.ambient_dim * max(self.dim, 1)
+        return max(r1, r2) <= zero_cut(float(tol), self.ambient_dim, self.dim)
 
 
 def full_space(n: int) -> Subspace:
@@ -206,9 +206,8 @@ def _symmetric_null_rows(h: np.ndarray, tol) -> np.ndarray:
     if not np.any(h):
         return np.eye(n)
     w, v = np.linalg.eigh(h)
-    mags = np.abs(w)
-    keep = np.flatnonzero(mags <= zero_cut(tol, n, mags.max()))
-    return v[:, keep[mags[keep].argsort(kind="stable")]].T
+    order = (-np.abs(w)).argsort(kind="stable")
+    return _split_rows(np.abs(w[order]), v[:, order].T, zero_cut(tol, n, np.abs(w).max()))[0]
 
 
 def _intersect_rows(b1: np.ndarray, b2: np.ndarray, tol):
@@ -220,7 +219,7 @@ def _intersect_rows(b1: np.ndarray, b2: np.ndarray, tol):
     principal angles between the spans, one per direction of b1 (1 for the
     directions in excess of dim b2), and its right singular vectors the
     matching coefficient rows in b1.  Directions whose sine is at most
-    ``4 * Q * tol`` span the intersection, the others its complement.  A
+    ``zero_cut`` at reference 1 in dimension 4Q span the intersection, the others its complement.  A
     side that takes all of b1 is b1 itself.
     """
     q = b1.shape[1]
@@ -230,7 +229,7 @@ def _intersect_rows(b1: np.ndarray, b2: np.ndarray, tol):
         return b1, b1[:0]
     resid = b1.T - b2.T @ (b2 @ b1.T)
     _, sines, vh = np.linalg.svd(resid, full_matrices=False)
-    inter, rest = _split_rows(sines, vh, 4.0 * q * tol)
+    inter, rest = _split_rows(sines, vh, zero_cut(float(tol), 4 * q, 1.0))
     if not rest.shape[0]:
         return b1, b1[:0]
     if not inter.shape[0]:
@@ -253,15 +252,15 @@ def _difference_rows(s: np.ndarray, excluded: np.ndarray, tol):
     The rows are the right null space of the small matrix ``M = excluded sᵀ``
     mapped back through the orthonormal rows s.  The rank threshold is the
     rule of ``right_null_basis`` on the stacked matrix ``[I - P_s; excluded]``
-    that ``M`` condenses: ``tol * max(1, sigma_max(M)) * (Q + rows of M)``,
-    where the scale is that matrix's spectral norm whenever the excluded
-    rows lie inside span(s).
+    that ``M`` condenses: ``zero_cut`` at reference max(1, sigma_max(M)) in
+    dimension Q + rows of M, where the scale is that matrix's spectral norm
+    whenever the excluded rows lie inside span(s).
     """
     if not s.shape[0] or not excluded.shape[0]:
         return s, np.zeros(0)
     m = excluded @ s.T
     _, sv, vh = np.linalg.svd(m, full_matrices=True)
-    return _split_rows(sv, vh, tol * max(1.0, sv[0]) * (s.shape[1] + m.shape[0]))[0] @ s, sv
+    return _split_rows(sv, vh, zero_cut(float(tol), s.shape[1] + m.shape[0], max(1.0, sv[0])))[0] @ s, sv
 
 
 def _completed_rank(sv: np.ndarray, n: int, tol) -> int:

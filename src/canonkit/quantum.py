@@ -9,11 +9,11 @@ reproducible.
 
 States are projected and evolved by Gaussian integrals, each one real
 congruence of its exponent's matrix G that decides divergence and gives
-the branch of det(-iG)^(-1/2) and G⁻¹ (``_gaussian_integral``)."""
+the branch of det(-iG)^(-1/2) and G⁻¹ (``_gaussian_integral``); one whose
+constant term over hbar leaves float range is an ``InputError`` naming hbar."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,11 +343,12 @@ def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
     d = 1.0 / (mu + 1j)
     y, y0 = r.T @ w, r.T @ w0
     logdet = np.sum(np.log(lam)) + np.sum(np.log(1.0 - 1j * mu))
-    const = -0.5 * np.sum(d * y0 * y0)
-    amp = amp.times_log(
-        log_measure - 0.5 * logdet.real - const.imag / hbar,
-        phase=-0.5 * logdet.imag + const.real / hbar,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        const = -0.5 * np.sum(d * y0 * y0)
+        re, im = const.real / hbar, const.imag / hbar
+    if not (np.isfinite(re) and np.isfinite(im)):
+        raise InputError(f"{what}: the exponent const/hbar is past float range at hbar = {hbar!r}")
+    amp = amp.times_log(log_measure - 0.5 * logdet.real - im, phase=-0.5 * logdet.imag + re)
     return m0 - y.T @ (d[:, None] * y), j0 - y.T @ (d * y0), amp
 
 
@@ -493,7 +494,7 @@ def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
     With Faddeev-Popov fixings on the free rows, composing the kernel with
     its reverse collapses to deltas on all configuration variables iff the
     cross block is the invertible c_AB on observable rows, vanishes on the
-    free rows, and the squared measure matches
+    free rows, and the squared measure matches, within ``zero_cut``,
     (2 pi hbar)^(-N_A) |det T_from^-1 det c_AB det T_to^-1|.
     """
     if kernel.deltas.shape[0]:
@@ -508,7 +509,8 @@ def unitarity_check(kernel: GaussianDeltaKernel, basis_from: ClassifiedBasis,
                   kernel.C @ basis_to.T[basis_to.right_rows].T):
         if block.size and np.abs(block).max() > cut:
             return False
-    return math.isclose(kernel.log_modulus, target, rel_tol=1e3 * tol, abs_tol=1e3 * tol)
+    got = kernel.log_modulus
+    return bool(abs(got - target) <= zero_cut(float(tol), kernel.dim_in, max(abs(got), abs(target), 1.0)))
 
 
 def hilbert_dims(constraints, dim: int, tol: float = DEFAULT_TOL) -> int:

@@ -29,7 +29,7 @@ from .effective import (
 )
 from .errors import InputError
 from .evolution import dof_report
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, zero_cut
 from .quantum import compose_kernels, normalized_measure, propagator_from_move
 from .serialize import _as_lists, _dumps
 
@@ -257,9 +257,9 @@ def _counts_line(counts) -> str:
     return "  ".join(f"N_{t}={counts[t]}" for t in VECTOR_TYPES if counts[t])
 
 
-def _bracket_grid(sec, cut=1e-12) -> list:
-    """Bracket structure grouped by (kind, source type): 0 where every
-    bracket in the group vanishes, X otherwise."""
+def _bracket_grid(sec, tol) -> list:
+    """Bracket structure grouped by (kind, source type): 0 where every bracket
+    in the group is within ``bracket_table``'s tag cut at ``tol``, X otherwise."""
     cons = sec["constraints"]
     brackets = np.asarray(sec["brackets"])
     if not cons or brackets.size == 0:
@@ -269,20 +269,20 @@ def _bracket_grid(sec, cut=1e-12) -> list:
         key = f"{'+' if c['kind'] == 'post' else '-'}C_{c['source_type']}"
         members.setdefault(key, []).append(k)
     groups = list(members)
-    scale = max(np.abs(brackets).max(), 1.0)
+    cut = zero_cut(tol, len(cons), np.abs(brackets).max())
     width = max(len(g) for g in groups)
     lines = ["  " + " " * (width + 1) + " ".join(g.rjust(width) for g in groups)]
     for gi in groups:
         cells = []
         for gj in groups:
             block = brackets[np.ix_(members[gi], members[gj])]
-            cells.append(("X" if np.abs(block).max() > cut * scale else "0").rjust(width))
+            cells.append(("X" if np.abs(block).max() > cut else "0").rjust(width))
         lines.append("  " + gi.rjust(width) + " " + " ".join(cells))
     return lines
 
 
-def render_text(report) -> str:
-    """Compact human-readable rendering of a full or partial report."""
+def render_text(report, tol) -> str:
+    """Compact text of a full or partial report; its bracket grids cut at ``tol``."""
     lines = []
     if "counts" in report and "labels" in report:
         # bare single-step classification
@@ -305,7 +305,7 @@ def render_text(report) -> str:
                 (", ".join(f"{v} {k}" for k, v in sorted(kinds.items())) or "none") +
                 f"; {tag}; m_lambda_rho = {sec['m_lambda_rho']}"
             )
-            lines.extend(_bracket_grid(sec))
+            lines.extend(_bracket_grid(sec, tol))
     if "dof" in report:
         for n, sec in sorted(report["dof"].items(), key=lambda kv: int(kv[0])):
             moves = ", ".join(f"N_{k} = {v}" for k, v in sec["n_move"].items())

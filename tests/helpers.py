@@ -18,7 +18,7 @@ from canonkit.actions import MoveSequence, QuadraticMove
 from canonkit.classify import VECTOR_TYPES, ClassifiedBasis, split_variables
 from canonkit.errors import ConstraintViolationError, InputError
 from canonkit.evolution import CanonicalData, SolveResult, _free_vector, observable_block
-from canonkit.linalg import DEFAULT_TOL, Subspace, right_null_basis, with_scale
+from canonkit.linalg import DEFAULT_TOL, Subspace, numeric_rank, right_null_basis, with_scale
 
 
 def random_orthogonal(rng, n):
@@ -325,6 +325,39 @@ def oracle_classify_step(c_prev, c_next, h, tol=DEFAULT_TOL, step=0):
 def label_groups(basis):
     """Subspace spanned by each label's rows of a classified basis."""
     return {t: Subspace(basis.dim, basis.block(t).T) for t in VECTOR_TYPES}
+
+
+# ---------------------------------------------------------------------------
+# region oracle
+# ---------------------------------------------------------------------------
+
+
+def region_constraint_counts(seq, tol=DEFAULT_TOL):
+    """(pre-constraints at the first step, post-constraints at the last) of
+    the whole region, from the stacked action, whatever the order of
+    integration.
+
+    The unknowns are x_0 ... x_N.  Each interior step k contributes its
+    equation of motion c_{k-1}ᵀ x_{k-1} + (b_{k-1} + a_k) x_k + c_k x_{k+1} = 0;
+    W is the null space of that stack, and R its image under
+    (x_0, p_0 = -(a_0 x_0 + c_0 x_1), x_N, p_N = b_{N-1} x_N + c_{N-1}ᵀ x_{N-1}).
+    A side's count is 2Q less the rank of its half of R.
+    """
+    moves, q = seq.moves, seq.dim
+    n = len(moves)
+    stack = np.zeros(((n - 1) * q, (n + 1) * q))
+    for k in range(1, n):
+        prev, nxt = moves[k - 1], moves[k]
+        rows = slice((k - 1) * q, k * q)
+        stack[rows, (k - 1) * q:k * q] = prev.c.T
+        stack[rows, k * q:(k + 1) * q] = prev.b + nxt.a
+        stack[rows, (k + 1) * q:(k + 2) * q] = nxt.c
+    w = right_null_basis(stack, tol).basis
+    x = [w[k * q:(k + 1) * q] for k in range(n + 1)]
+    first, last = moves[0], moves[-1]
+    pre = np.vstack([x[0], -(first.a @ x[0] + first.c @ x[1])])
+    post = np.vstack([x[n], last.b @ x[n] + last.c.T @ x[n - 1]])
+    return 2 * q - numeric_rank(pre, tol), 2 * q - numeric_rank(post, tol)
 
 
 # ---------------------------------------------------------------------------

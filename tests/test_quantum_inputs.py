@@ -4,6 +4,8 @@ Most kernels are the scalar chain x0 -> x1 -> x2 with S = x0 x1 + x1^2/2 and
 S = x1^2/2 + x1 x2, whose steps are r, gamma and l.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,21 @@ def test_project_physical_rejects_a_set_of_mixed_lengths():
     cons = [constraint(1), constraint(1, p=(1.0, 0.0), x=(0.0, 0.0))]
     with pytest.raises(InputError, match="dimension mismatch"):
         project_physical(state(step=1), cons, "post")
+
+
+@pytest.mark.parametrize("j, hbar", [
+    ((1.0, 0.5), 5e-324), ((1.0, 0.5), 1e-310), ((100.0, 0.5), 1e-307), ((1e7, 0.5), 1e-300),
+])
+def test_a_gaussian_integral_past_float_range_names_hbar(j, hbar):
+    # const / hbar of the orbit integral overflows; no numpy warning may leak first
+    st = GaussianState(0, hbar, Amplitude(), M=1j * np.eye(2), j=j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=f"at hbar = {hbar!r}"):
+            project_physical(st, [LinearConstraint(0, "pre", [1.0, 0.0], [0.0, 0.0])], "pre")
+        with pytest.raises(InputError, match=f"at hbar = {hbar!r}"):
+            evolve_state(kernel(hbar=hbar), state(hbar=hbar, j=j[:1]))
+        # a smaller phase at a small hbar stays in range
+        projected = project_physical(GaussianState(0, 1e-200, Amplitude(), M=1j * np.eye(2), j=j),
+                                     [LinearConstraint(0, "pre", [1.0, 0.0], [0.0, 0.0])], "pre")
+        assert np.isfinite(projected.amplitude.log_modulus)
