@@ -11,11 +11,12 @@ are the source of every constraint downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, asymmetry, with_scale
+from .linalg import DEFAULT_TOL, Tolerance, _guarded_tolerance, as_matrix, asymmetry
 
 
 def check_hbar(hbar) -> None:
@@ -45,6 +46,11 @@ class QuadraticMove:
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def scale(self) -> float:
+        """The largest |entry| of a, b and c, once: a move's matrices are not changed."""
+        return max((np.abs(m).max() for m in (self.a, self.b, self.c) if m.size), default=0.0)
 
     def action(self, x_from, x_to) -> float:
         x0 = np.asarray(x_from, dtype=float)
@@ -224,8 +230,18 @@ def post_momentum(move: QuadraticMove, x_from, x_to) -> np.ndarray:
 
 
 def moves_tolerance(tol, *moves) -> Tolerance:
-    """``with_scale`` of the moves' a, b and c: their scale, and its float-range guard."""
-    return with_scale(tol, *(mat for m in moves for mat in (m.a, m.b, m.c)))
+    """``with_scale`` of the moves' a, b and c, read off their cached scales."""
+    if isinstance(tol, Tolerance):
+        return tol
+    return _guarded_tolerance(tol, max((m.scale for m in moves), default=0.0),
+                              max((m.a.size for m in moves), default=0))
+
+
+def _trusted(cls, fields: dict):
+    """The frozen dataclass ``cls`` holding ``fields``, all of them, already checked."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
 
 
 def validate(seq: MoveSequence, tol: float = DEFAULT_TOL) -> list:

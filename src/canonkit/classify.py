@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .actions import moves_tolerance
+from .actions import _trusted, moves_tolerance
 from .errors import DegeneracyError, InputError
 from .linalg import (
     DEFAULT_TOL,
@@ -92,12 +92,12 @@ class ClassifiedBasis:
 
     def rows_of(self, *types) -> np.ndarray:
         """Row indices carrying any of the given labels, in basis order; read-only."""
-        key = frozenset(types)
-        if key not in self._row_groups:
-            rows = np.array([k for k, lab in enumerate(self.labels) if lab in key], dtype=int)
+        rows = self._row_groups.get(types)
+        if rows is None:
+            rows = np.array([k for k, lab in enumerate(self.labels) if lab in types], dtype=int)
             rows.flags.writeable = False
-            self._row_groups[key] = rows
-        return self._row_groups[key]
+            self._row_groups[types] = rows
+        return rows
 
     def block(self, *types) -> np.ndarray:
         """The sub-matrix of T rows with the given labels."""
@@ -254,7 +254,9 @@ def classify_step(c_prev, c_next, h, tol: float = DEFAULT_TOL, step: int = 0) ->
         t_matrix = np.vstack([rows[:c["I"]], np.eye(q)[~active], rows[c["I"]:]])
         c["I"] += q - k
     labels = tuple(t for t in VECTOR_TYPES for _ in range(c[t]))
-    return ClassifiedBasis(step=step, T=t_matrix, labels=labels, tol=tol)
+    # a square float T with one known label per row: ClassifiedBasis' own check is not run again
+    return _trusted(ClassifiedBasis, {"step": step, "T": t_matrix, "labels": labels, "tol": tol,
+                                      "_row_groups": {}})
 
 
 def _row_labels(rows: np.ndarray, c_prev, c_next, h, tol) -> tuple:

@@ -13,7 +13,7 @@ from itertools import combinations, repeat
 
 import numpy as np
 
-from .actions import moves_tolerance
+from .actions import _trusted, moves_tolerance
 from .classify import ClassifiedBasis, m_lambda_rho
 from .errors import InputError
 from .linalg import DEFAULT_TOL, numeric_rank, with_scale, zero_cut
@@ -95,33 +95,37 @@ def primary_constraints(move_prev, move_next, basis: ClassifiedBasis) -> list:
     for kind, rows, hess, sign in sides:
         ks = rows.tolist()
         out += _rows(basis.step, kind, [basis.labels[k] for k in ks],
-                     sign * _row_products(hess, basis.T, rows), p=(basis.T[k] for k in ks))
+                     sign * _row_products(hess, basis.T[rows]), p=(basis.T[k] for k in ks))
     return out
 
 
 def _rows(step, kind, labels, x, far=None, p=None, cut=None) -> list:
     """One ``LinearConstraint`` per row of x (and far and p; zero momenta
     without p).  Given a ``cut``, the rows whose x and far entries all lie
-    within it are flagged trivial, in one test for the group."""
+    within it are flagged trivial, in one test for the group.  The stacks come
+    from checked moves and bases, so ``LinearConstraint``'s check is not run."""
     if not len(x):
         return []
     trivial = repeat(False)
     if cut is not None:
         both = x if far is None else np.concatenate((x, far), axis=1)
         trivial = (np.abs(both).max(axis=1) <= cut).tolist()
-    return [LinearConstraint(step, kind, *row) for row in
-            zip(repeat(np.zeros(x.shape[1])) if p is None else p, x,
-                repeat(None) if far is None else far, labels, trivial)]
+    return [_trusted(LinearConstraint, {
+        "step": step, "kind": kind, "p_coeffs": p_row, "x_coeffs": x_row, "x_coeffs_other": far_row,
+        "source_type": label, "trivial": flag, "multiplier_terms": ()})
+        for p_row, x_row, far_row, label, flag in zip(
+            repeat(np.zeros(x.shape[1])) if p is None else p, x,
+            repeat(None) if far is None else far, labels, trivial)]
 
 
-def _row_products(m, t, rows) -> np.ndarray:
-    """Row i is ``m @ t[rows[i]]``, bit for bit: numpy's matmul runs one gemv
-    per stacked item, where ``t[rows] @ m.T`` would be one gemm, whose
-    blocking changes the rounding.  Empty groups, common on small steps,
-    skip the indexing and matmul's fixed cost."""
-    if not len(rows):
+def _row_products(m, t) -> np.ndarray:
+    """Row i is ``m @ t[i]``, bit for bit: numpy's matmul runs one gemv per
+    stacked item, where ``t @ m.T`` would be one gemm, whose blocking
+    changes the rounding.  Empty groups, common on small steps, skip
+    matmul's fixed cost."""
+    if not len(t):
         return np.empty((0, m.shape[0]))
-    return np.matmul(m, t[rows][:, :, None])[:, :, 0]
+    return np.matmul(m, t[:, :, None])[:, :, 0]
 
 
 def poisson_bracket(c1: LinearConstraint, c2: LinearConstraint) -> float:
@@ -231,9 +235,8 @@ def secondary_constraints(move_prev, move_next, basis: ClassifiedBasis,
              ("r", "holonomic_right", move_next.step_to, move_next.c.T))
     out = []
     for label, kind, step, cross in sides:
-        out += _rows(step, kind, repeat(label), _row_products(cross, basis.T, basis.rows_of(label)),
-                     cut=cut)
-    near, far = (_row_products(cross, basis.T, basis.rows_of("z")) for *_, cross in sides)
+        out += _rows(step, kind, repeat(label), _row_products(cross, basis.block(label)), cut=cut)
+    near, far = (_row_products(cross, basis.block("z")) for *_, cross in sides)
     return out + _rows((move_prev.step_from, move_next.step_to), "boundary_data", repeat("z"),
                        near, far, cut=cut)
 

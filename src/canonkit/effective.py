@@ -17,7 +17,7 @@ from itertools import compress
 
 import numpy as np
 
-from .actions import MoveSequence, QuadraticMove, moves_tolerance
+from .actions import MoveSequence, QuadraticMove, _trusted, moves_tolerance
 from .classify import NULL_TYPES, ClassifiedBasis, classify_rows, classify_step
 from .constraints import LinearConstraint, _stacked, primary_constraints, secondary_constraints
 from .errors import InputError, InternalError
@@ -125,8 +125,7 @@ def effective_constraints(eff: EffectiveMove, basis_from: ClassifiedBasis,
                                   np.array(x)[None, :, :, None])[:, :, 0, 0]
         for con, row, kept in zip(primary, coeffs.tolist(), (np.abs(coeffs) > cut).tolist()):
             terms = tuple(compress(zip(names, row), kept))
-            out.append(LinearConstraint(con.step, con.kind, con.p_coeffs, con.x_coeffs,
-                                        source_type=con.source_type, multiplier_terms=terms)
+            out.append(_trusted(LinearConstraint, {**vars(con), "multiplier_terms": terms})
                        if terms else con)
     out.extend(rec.constraint for rec in eff.multipliers)
     return out

@@ -44,8 +44,9 @@ DEFAULT_TOL = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite 2-d float array."""
-    a = np.atleast_2d(np.asarray(m, dtype=float))
+    """Coerce to a finite 2-d float array; a 2-d float64 array is not copied."""
+    a = np.asarray(m, dtype=float)
+    a = a if a.ndim == 2 else np.atleast_2d(a)
     if a.ndim != 2:
         raise InputError(f"expected a matrix, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
@@ -71,15 +72,21 @@ class Tolerance(float):
 
 
 def with_scale(tol, *mats) -> Tolerance:
-    """``tol`` against the largest |entry| of ``mats`` (None skipped), unless
-    it is a Tolerance already; ``moves_tolerance`` builds through it too.  A
-    scale at which a cut ``tol * n * ref`` could overflow (n up to 3Q, ref up
-    to Q times the scale, Q² the largest size in ``mats``) is an InputError."""
+    """``_guarded_tolerance`` at the largest |entry| of ``mats`` (None skipped),
+    unless ``tol`` is a Tolerance already."""
     if isinstance(tol, Tolerance):
         return tol
     mats = [m for m in mats if m is not None and np.size(m)]
-    tol = Tolerance(tol, max((np.abs(m).max() for m in mats), default=0.0))
-    if not np.isfinite(3.0 * max(map(np.size, mats), default=0) * tol * tol.scale):
+    return _guarded_tolerance(tol, max((np.abs(m).max() for m in mats), default=0.0),
+                              max(map(np.size, mats), default=0))
+
+
+def _guarded_tolerance(tol, scale: float, size: int) -> Tolerance:
+    """``Tolerance(tol, scale)``, the one float-range guard of ``with_scale`` and
+    ``moves_tolerance``: a scale at which a cut ``tol * n * ref`` could overflow
+    (n up to 3Q, ref up to Q times the scale, ``size`` = Q²) is an InputError."""
+    tol = Tolerance(tol, scale)
+    if not 3.0 * size * tol * tol.scale < np.inf:   # NaN fails too
         raise InputError(f"the moves' scale {tol.scale!r} puts a rank cut at tol = {float(tol)!r} "
                          "beyond float range")
     return tol
@@ -87,13 +94,15 @@ def with_scale(tol, *mats) -> Tolerance:
 
 def zero_cut(tol, n: int, ref=0.0):
     """The largest value that is numerically zero, elementwise in ``ref``."""
-    return tol * n * np.maximum(ref, getattr(tol, "scale", 0.0))
+    scale = getattr(tol, "scale", 0.0)
+    # a float ref takes the builtin max: np.maximum's value, without its ufunc cost
+    return tol * n * (max(ref, scale) if isinstance(ref, float) else np.maximum(ref, scale))
 
 
 def asymmetry(a: np.ndarray, tol) -> float:
     """The largest |a - aᵀ| entry, or 0.0 when it is numerically zero."""
     defect = float(np.abs(a - a.T).max()) if a.size else 0.0
-    return defect if defect > zero_cut(tol, a.shape[0], np.abs(a).max() if a.size else 0.0) else 0.0
+    return defect if defect and defect > zero_cut(tol, a.shape[0], np.abs(a).max()) else 0.0
 
 
 def numeric_rank(m, tol: float = DEFAULT_TOL) -> int:
@@ -193,7 +202,7 @@ def _null_rows(a: np.ndarray, tol) -> np.ndarray:
     """Orthonormal rows spanning {v : a v = 0}: the right singular vectors of
     one full SVD at most ``zero_cut`` at sigma_max, ordered, signs not fixed."""
     n = a.shape[1]
-    if a.shape[0] == 0 or not np.any(a):
+    if a.shape[0] == 0 or not a.any():
         return np.eye(n)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     return _split_rows(s, vh, zero_cut(tol, max(a.shape), s[0]))[0]
@@ -203,7 +212,7 @@ def _symmetric_null_rows(h: np.ndarray, tol) -> np.ndarray:
     """``_null_rows`` of a symmetric ``h`` from one ``eigh``: its singular
     values are the |eigenvalues|, cut by ``zero_cut`` at the largest."""
     n = h.shape[0]
-    if not np.any(h):
+    if not h.any():
         return np.eye(n)
     w, v = np.linalg.eigh(h)
     order = (-np.abs(w)).argsort(kind="stable")

@@ -9,8 +9,9 @@ reproducible.
 
 States are projected and evolved by Gaussian integrals, each one real
 congruence of its exponent's matrix G that decides divergence and gives
-the branch of det(-iG)^(-1/2) and G⁻¹ (``_gaussian_integral``); one whose
-constant term over hbar leaves float range is an ``InputError`` naming hbar."""
+the branch of det(-iG)^(-1/2) and G⁻¹ (``_gaussian_integral``); a constant
+term past float range is an ``InputError`` naming it, and one that leaves
+float range only over hbar an ``InputError`` naming hbar."""
 
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import QuadraticMove, check_hbar, moves_tolerance
-from .classify import ALPHA_TYPES, ClassifiedBasis, hessian_block
+from .actions import QuadraticMove, _trusted, check_hbar, moves_tolerance
+from .classify import ALPHA_TYPES, ClassifiedBasis
 from .constraints import _brackets, _stacked, independent_count
 from .effective import compose
 from .errors import (
@@ -93,11 +94,11 @@ class GaussianDeltaKernel:
 
     def __post_init__(self):
         check_hbar(self.hbar)
-        move = QuadraticMove(self.in_step, self.out_step, self.A, self.B, self.C)
-        object.__setattr__(self, "move", move)
-        object.__setattr__(self, "A", move.a)
-        object.__setattr__(self, "B", move.b)
-        object.__setattr__(self, "C", move.c)
+        self._hold(QuadraticMove(self.in_step, self.out_step, self.A, self.B, self.C))
+
+    def _hold(self, move: QuadraticMove):
+        """Hold the checked ``move``, its a, b and c as A, B and C; check the deltas."""
+        self.__dict__.update(move=move, A=move.a, B=move.b, C=move.c)
         d = self.deltas
         d = np.zeros((0, self.dim_in + self.dim_out)) if d is None else np.atleast_2d(np.asarray(d, float))
         if d.shape[0] and d.shape[1] != self.dim_in + self.dim_out:
@@ -112,13 +113,11 @@ class GaussianDeltaKernel:
         """The same kernel read backward in time, out_step -> in_step:
         A <-> B, C -> Cᵀ, the in and out columns of the deltas swapped and
         both bases reversed."""
-        return GaussianDeltaKernel(
-            in_step=self.out_step, out_step=self.in_step, hbar=self.hbar,
-            amplitude=self.amplitude, A=self.B, B=self.A, C=self.C.T,
-            deltas=np.roll(self.deltas, -self.dim_in, axis=1), delta_labels=self.delta_labels,
-            basis_in=self.basis_out and self.basis_out.reversed(),
-            basis_out=self.basis_in and self.basis_in.reversed(),
-        )
+        return _kernel(self.move.reversed(), self.hbar, self.amplitude,
+                       deltas=np.roll(self.deltas, -self.dim_in, axis=1),
+                       delta_labels=self.delta_labels,
+                       basis_in=self.basis_out and self.basis_out.reversed(),
+                       basis_out=self.basis_in and self.basis_in.reversed())
 
     @property
     def dim_in(self) -> int:
@@ -178,6 +177,20 @@ def _move_measure(c, basis_from: ClassifiedBasis, basis_to: ClassifiedBasis,
     return Amplitude(log_modulus=log_mod, i_exponent=n_a, phase=0.0)
 
 
+def _kernel(move, hbar, amplitude, **fields) -> GaussianDeltaKernel:
+    """The kernel of ``move``, held as a plain move; a QuadraticMove is not checked
+    again, nor hbar, which each caller has checked."""
+    if type(move) is not QuadraticMove:
+        plain = {k: getattr(move, k) for k in ("step_from", "step_to", "a", "b", "c")}
+        move = (_trusted(QuadraticMove, plain) if isinstance(move, QuadraticMove)
+                else QuadraticMove(**plain))
+    kernel = _trusted(GaussianDeltaKernel, {
+        "in_step": move.step_from, "out_step": move.step_to, "hbar": hbar, "amplitude": amplitude,
+        "deltas": None, "delta_labels": (), "basis_in": None, "basis_out": None, **fields})
+    kernel._hold(move)
+    return kernel
+
+
 def propagator_from_move(move, basis_from: ClassifiedBasis, basis_to: ClassifiedBasis,
                          hbar: float = 1.0, tol: float = DEFAULT_TOL) -> GaussianDeltaKernel:
     """Physical propagator of one move: measure times exp(i S / hbar).
@@ -186,17 +199,8 @@ def propagator_from_move(move, basis_from: ClassifiedBasis, basis_to: Classified
     det c_AB det T_to^-1|), the unique choice making the move's evolution
     map unitary between its physical Hilbert spaces.
     """
-    return GaussianDeltaKernel(
-        in_step=move.step_from,
-        out_step=move.step_to,
-        hbar=hbar,
-        amplitude=_move_measure(move.c, basis_from, basis_to, hbar, tol),
-        A=move.a,
-        B=move.b,
-        C=move.c,
-        basis_in=basis_from,
-        basis_out=basis_to,
-    )
+    return _kernel(move, hbar, _move_measure(move.c, basis_from, basis_to, hbar, tol),
+                   basis_in=basis_from, basis_out=basis_to)
 
 
 def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
@@ -227,7 +231,8 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
     amp = amp.times_log(np.log(basis_mid.abs_det))
     if n_alpha:
         h = k1.B + k2.A
-        lam = np.linalg.eigvalsh(hessian_block(basis_mid, h, ALPHA_TYPES, ALPHA_TYPES))
+        alpha = basis_mid.block(*ALPHA_TYPES)
+        lam = np.linalg.eigvalsh(alpha @ h @ alpha.T)
         signature = int(np.sum(lam > 0) - np.sum(lam < 0))
         amp = amp.times_log(
             0.5 * n_alpha * np.log(TWO_PI * hbar) - 0.5 * np.sum(np.log(np.abs(lam))),
@@ -248,19 +253,8 @@ def compose_kernels(k1: GaussianDeltaKernel, k2: GaussianDeltaKernel,
                 deltas[i, cols] = rec.constraint.x_part_at(step)
         labels += (f"{rec.source_type}@{rec.step}",)
         amp = amp.times_log(np.log(TWO_PI * hbar))
-    return GaussianDeltaKernel(
-        in_step=k1.in_step,
-        out_step=k2.out_step,
-        hbar=hbar,
-        amplitude=amp,
-        A=eff.a,
-        B=eff.b,
-        C=eff.c,
-        deltas=deltas,
-        delta_labels=labels,
-        basis_in=k1.basis_in,
-        basis_out=k2.basis_out,
-    )
+    return _kernel(eff, hbar, amp, deltas=deltas, delta_labels=labels, basis_in=k1.basis_in,
+                   basis_out=k2.basis_out)
 
 
 @dataclass(frozen=True)
@@ -346,6 +340,8 @@ def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
     with np.errstate(over="ignore", invalid="ignore"):
         const = -0.5 * np.sum(d * y0 * y0)
         re, im = const.real / hbar, const.imag / hbar
+    if not np.isfinite(const):
+        raise InputError(f"{what}: the exponent's constant term const is past float range")
     if not (np.isfinite(re) and np.isfinite(im)):
         raise InputError(f"{what}: the exponent const/hbar is past float range at hbar = {hbar!r}")
     amp = amp.times_log(log_measure - 0.5 * logdet.real - im, phase=-0.5 * logdet.imag + re)
