@@ -45,14 +45,17 @@ class LinearConstraint:
             raise InputError(f"unknown constraint kind {self.kind!r}")
         p = np.asarray(self.p_coeffs, dtype=float)
         x = np.asarray(self.x_coeffs, dtype=float)
+        if p.ndim != 1 or x.ndim != 1:
+            raise InputError("p_coeffs and x_coeffs must be 1-D arrays")
         if p.shape != x.shape:
             raise InputError("p_coeffs and x_coeffs must have equal length")
         object.__setattr__(self, "p_coeffs", p)
         object.__setattr__(self, "x_coeffs", x)
         if self.x_coeffs_other is not None:
-            object.__setattr__(
-                self, "x_coeffs_other", np.asarray(self.x_coeffs_other, dtype=float)
-            )
+            far = np.asarray(self.x_coeffs_other, dtype=float)
+            if far.shape != x.shape:
+                raise InputError("x_coeffs_other must be a 1-D array of the length of x_coeffs")
+            object.__setattr__(self, "x_coeffs_other", far)
 
     @property
     def steps(self) -> tuple:
@@ -162,11 +165,14 @@ class BracketTable:
 def _stacked(constraints):
     """(stack, Q): row i of the stack is constraint i's p, its x at its own
     (first) step and, when some constraint has one, its far-step x or
-    zeros.  A non-finite coefficient is an InputError."""
+    zeros.  A set of mixed lengths, or a non-finite coefficient, is an
+    InputError."""
     constraints = list(constraints)
     if not constraints:
         return np.zeros((0, 0)), 0
     q = constraints[0].p_coeffs.size
+    if any(c.p_coeffs.size != q for c in constraints):
+        raise InputError("the constraints of a set must have equal length")
     far = [k for k, c in enumerate(constraints) if c.x_coeffs_other is not None]
     # zeros, then fill: a vstack raised peak RSS ~8 MB via glibc's mmap threshold
     stack = np.zeros((len(constraints), (3 if far else 2) * q))

@@ -78,12 +78,13 @@ def compose(move1, move2, basis_mid: ClassifiedBasis, tol: float = DEFAULT_TOL) 
         )
     # a plain move carries no multipliers and glued no step
     c1, c2 = move1.c, move2.c
+    c1_h = c1 @ h_plus
     return EffectiveMove(
         move1.step_from,
         move2.step_to,
-        move1.a - c1 @ h_plus @ c1.T,
+        move1.a - c1_h @ c1.T,
         move2.b - c2.T @ h_plus @ c2,
-        -c1 @ h_plus @ c2,
+        -c1_h @ c2,
         multipliers=(getattr(move1, "multipliers", ()) + getattr(move2, "multipliers", ())
                      + new_mult),
         glued_bases=(getattr(move1, "glued_bases", ()) + (basis_mid,)

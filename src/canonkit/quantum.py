@@ -11,7 +11,9 @@ States are projected and evolved by Gaussian integrals, each one real
 congruence of its exponent's matrix G that decides divergence and gives
 the branch of det(-iG)^(-1/2) and G⁻¹ (``_gaussian_integral``); a constant
 term past float range is an ``InputError`` naming it, and one that leaves
-float range only over hbar an ``InputError`` naming hbar."""
+float range only over hbar an ``InputError`` naming hbar.  A constraint on
+a slot that nothing else couples, such as a zero-padded one, is averaged in
+closed form beside that one integral."""
 
 from __future__ import annotations
 
@@ -310,8 +312,15 @@ def _abelian_or_raise(constraints, tol, stacked=None):
     return cons
 
 
+def _divergence(what: str) -> DivergenceError:
+    return DivergenceError(
+        f"{what}: integral over a flat or growing direction diverges "
+        "(double projection or non-normalizable state)"
+    )
+
+
 def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
-                       hbar: float, tol: float, what: str):
+                       hbar: float, tol: float, what: str, cut: float = None):
     """∫ ds exp(i(yᵀ m0 y/2 + j0ᵀ y + sᵀ g s/2 + sᵀ(w y + w0))/hbar) in closed
     form: the new quadratic and linear terms m0 - wᵀ g⁻¹ w and
     j0 - wᵀ g⁻¹ w0 in y, and ``amp`` times exp(log_measure) det(-ig)^(-1/2)
@@ -323,14 +332,12 @@ def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
     H = V Λ^(-1/2) and Hᵀ Re sym(g) H = W diag(μ) Wᵀ make R = H W with
     Rᵀ g R = diag(μ + i), so g⁻¹ = R diag(1/(μ + i)) Rᵀ and log det(-ig) =
     Σ log λ + Σ log(1 - iμ), each term principal (Re(1 - iμ) = 1) and the sum
-    the branch continued from Re g = 0."""
+    the branch continued from Re g = 0.  ``cut`` replaces that zero_cut when
+    g is a block of a larger integral, whose cut decides for every block."""
     sym = 0.5 * (g + g.T)
     lam, v = np.linalg.eigh(sym.imag)
-    if lam.size and lam[0] <= zero_cut(tol, g.shape[0], np.abs(g).max()):
-        raise DivergenceError(
-            f"{what}: integral over a flat or growing direction diverges "
-            "(double projection or non-normalizable state)"
-        )
+    if lam.size and lam[0] <= (zero_cut(tol, g.shape[0], np.abs(g).max()) if cut is None else cut):
+        raise _divergence(what)
     h = v / np.sqrt(lam)
     mu, rot = np.linalg.eigh(h.T @ sym.real @ h)
     r = h @ rot
@@ -348,6 +355,22 @@ def _gaussian_integral(g, w, w0, m0, j0, amp: Amplitude, log_measure: float,
     return m0 - y.T @ (d[:, None] * y), j0 - y.T @ (d * y0), amp
 
 
+def _own_slots(p, x, m, j):
+    """(k, s): the constraints k that are c p_s alone, on a slot s that no
+    other constraint touches and that the state leaves uncoupled (row and
+    column s of ``m`` zero off the diagonal, j_s = 0), and their slots."""
+    touched = (p != 0) | (x != 0)
+    single = (np.count_nonzero(p, axis=1) == 1) & ~x.any(axis=1)
+    k = np.flatnonzero(single)
+    s = np.argmax(p[k] != 0, axis=1)
+    keep = touched[:, s].sum(axis=0) == 1
+    k, s = k[keep], s[keep]
+    diag = m[s, s] != 0
+    keep = ((np.count_nonzero(m[s], axis=1) == diag) & (np.count_nonzero(m[:, s], axis=0) == diag)
+            & (j[s] == 0))
+    return k[keep], s[keep]
+
+
 def project_physical(state: GaussianState, constraints, side: str,
                      tol: float = DEFAULT_TOL) -> GaussianState:
     """Group-averaging projection of a Gaussian state onto a constraint set.
@@ -355,7 +378,19 @@ def project_physical(state: GaussianState, constraints, side: str,
     Averages the unitary flows exp(i s C / hbar) of the (abelian) linear
     constraints over their non-compact orbits.  A state already annihilated
     by one of the constraints makes the orbit integral diverge; that double
-    projection is detected and raised, never silently evaluated.
+    projection is detected and raised, never silently evaluated.  ``side``
+    must be 'pre' or 'post' but selects nothing: the constraints say where
+    they act.
+
+    A constraint c p_s on a slot s that no other constraint touches, where
+    the state leaves s uncoupled (row and column s of M zero off the
+    diagonal, j_s = 0), as on a zero-padded slot, averages in closed form:
+    a one-dimensional integral with g = c² M_ss that multiplies the
+    amplitude by (2 pi hbar)^(-1/2) det(-i g)^(-1/2), log det(-i g) = log
+    Im g + log(1 - i Re g / Im g) as in ``_gaussian_integral``, and zeroes
+    row and column s of M.  The other constraints go through one
+    ``_gaussian_integral``; every divergence decision takes the cut of the
+    whole set.
     """
     if side not in ("pre", "post"):
         raise InputError("side must be 'pre' or 'post'")
@@ -370,18 +405,38 @@ def project_physical(state: GaussianState, constraints, side: str,
             raise InputError("constraint dimension mismatch")
     stacked = _stacked(cons)
     _abelian_or_raise(cons, tol, stacked)
+    stack, hbar, m = stacked[0], state.hbar, state.M
+    own, slots = _own_slots(stack[:, :q], stack[:, q:2 * q], m, state.j)
+    rest = np.delete(np.arange(len(cons)), own)
     # (Q, N) each, fresh C-ordered copies: BLAS rounds by layout and alignment
-    u, v = (stacked[0][:, k * q:(k + 1) * q].T.copy() for k in (0, 1))
-    hbar = state.hbar
+    u, v = (stack[rest, k * q:(k + 1) * q].T.copy() for k in (0, 1))
 
-    w_mat = u.T @ state.M + v.T                          # theta(x) = w_mat x + w0
+    w_mat = u.T @ m + v.T                                # theta(x) = w_mat x + w0
     g = w_mat @ u + 0.5 * (u.T @ v - v.T @ u)
     w0 = u.T @ state.j
-    m_new, j_new, amp = _gaussian_integral(g, w_mat, w0, state.M, state.j, state.amplitude,
+    g_own = stack[own, slots] ** 2 * m[slots, slots]
+    cut = zero_cut(tol, len(cons), float(max(np.abs(g).max(initial=0.0),
+                                             np.abs(g_own).max(initial=0.0))))
+    lam = g_own.imag
+    if np.any(lam <= cut):
+        raise _divergence("group averaging")
+    logdet = np.sum(np.log(lam)) + np.sum(np.log(1.0 - 1j * (g_own.real / lam)))
+    amp = state.amplitude.times_log(-0.5 * logdet.real, phase=-0.5 * logdet.imag)
+    m_new, j_new, amp = _gaussian_integral(g, w_mat, w0, m, state.j, amp,
                                            -0.5 * len(cons) * np.log(TWO_PI * hbar), hbar, tol,
-                                           "group averaging")
+                                           "group averaging", cut)
+    m_new[slots] = 0.0
+    m_new[:, slots] = 0.0
     return GaussianState(step=state.step, hbar=hbar, amplitude=amp,
                          M=0.5 * (m_new + m_new.T), j=j_new)
+
+
+def _congruent(t, m):
+    """T m Tᵀ over the slots where m has a nonzero row or column, the only
+    ones that add to it; a function, so its copies are freed on return."""
+    act = np.flatnonzero(m.any(axis=0) | m.any(axis=1))
+    t_act = t[:, act]
+    return t_act @ m[np.ix_(act, act)] @ t_act.T
 
 
 def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
@@ -403,9 +458,10 @@ def evolve_state(kernel: GaussianDeltaKernel, state: GaussianState,
         raise InputError("kernel carries delta factors; solve them before evolving states")
     basis = kernel.basis_in
     t = basis.T
-    phi = t @ (state.M + kernel.A) @ t.T
+    phi = _congruent(t, state.M + kernel.A)
     j_split = t @ state.j
-    c_split = t @ kernel.C
+    live = np.flatnonzero(kernel.C.any(axis=1))     # C's zero rows add nothing to T C
+    c_split = t[:, live] @ kernel.C[live]
     a_rows = basis.pre_observable_rows
     rest = basis.left_rows
     ref = max(np.abs(phi).max(), np.abs(j_split).max() if j_split.size else 0.0)

@@ -16,9 +16,11 @@ import numpy as np
 
 from canonkit.actions import MoveSequence, QuadraticMove
 from canonkit.classify import VECTOR_TYPES, ClassifiedBasis, split_variables
+from canonkit.constraints import _stacked
 from canonkit.errors import ConstraintViolationError, InputError
 from canonkit.evolution import CanonicalData, SolveResult, _free_vector, observable_block
 from canonkit.linalg import DEFAULT_TOL, Subspace, numeric_rank, right_null_basis, with_scale
+from canonkit.quantum import GaussianState, _gaussian_integral
 
 
 def random_orthogonal(rng, n):
@@ -477,3 +479,32 @@ def oracle_check_annihilation_pre(kernel, constraint, tol=DEFAULT_TOL):
     sol, *_ = np.linalg.lstsq(kernel.deltas.T, ell, rcond=None)
     resid = ell - kernel.deltas.T @ sol
     return bool(np.abs(resid).max() <= cut)
+
+
+def general_projection(state, constraints, tol=DEFAULT_TOL):
+    """``project_physical`` with the whole set in one ``_gaussian_integral``
+    on the full g, no slot averaged in closed form: the reference for the
+    closed form on decoupled slots."""
+    cons = list(constraints)
+    stack, q = _stacked(cons)
+    u, v = (stack[:, k * q:(k + 1) * q].T.copy() for k in (0, 1))
+    w = u.T @ state.M + v.T
+    g = w @ u + 0.5 * (u.T @ v - v.T @ u)
+    m, j, amp = _gaussian_integral(g, w, u.T @ state.j, state.M, state.j, state.amplitude,
+                                   -0.5 * len(cons) * np.log(2.0 * np.pi * state.hbar),
+                                   state.hbar, tol, "group averaging")
+    return GaussianState(step=state.step, hbar=state.hbar, amplitude=amp, M=0.5 * (m + m.T), j=j)
+
+
+def full_product_evolution(kernel, state, tol=DEFAULT_TOL):
+    """``evolve_state`` for a supported state with T(M + A)Tᵀ and T C taken
+    over every slot: the reference for its active-block products."""
+    t, rows, hbar = kernel.basis_in.T, kernel.basis_in.pre_observable_rows, kernel.hbar
+    phi = t @ (state.M + kernel.A) @ t.T
+    c_split, j_split = t @ kernel.C, t @ state.j
+    m, j, amp = _gaussian_integral(phi[np.ix_(rows, rows)], c_split[rows], j_split[rows],
+                                   kernel.B, np.zeros(kernel.dim_out),
+                                   state.amplitude.times(kernel.amplitude),
+                                   0.5 * rows.size * np.log(2.0 * np.pi * hbar), hbar, tol,
+                                   "state evolution")
+    return GaussianState(step=kernel.out_step, hbar=hbar, amplitude=amp, M=0.5 * (m + m.T), j=j)

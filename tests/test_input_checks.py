@@ -11,7 +11,12 @@ import pytest
 
 from canonkit.actions import MoveSequence, QuadraticMove, RaggedMove, extend_to_square
 from canonkit.classify import ClassifiedBasis, classify_sequence, classify_step
-from canonkit.constraints import LinearConstraint, primary_constraints, secondary_constraints
+from canonkit.constraints import (
+    LinearConstraint,
+    bracket_table,
+    primary_constraints,
+    secondary_constraints,
+)
 from canonkit.effective import compose, effective_constraints, reclassify_onshell
 from canonkit.errors import InputError
 from canonkit.evolution import CanonicalData, boundary_solve, dof_report, forward_solve
@@ -25,6 +30,7 @@ from canonkit.linalg import (
     span_of_rows,
     subtract,
 )
+from canonkit.quantum import hilbert_dims
 
 M1 = QuadraticMove(0, 1, [[0.0]], [[0.5]], [[1.0]])
 M2 = QuadraticMove(1, 2, [[0.5]], [[0.0]], [[1.0]])
@@ -35,6 +41,7 @@ B2 = classify_step(M2.c, None, M2.b, step=2)
 EFF = compose(M1, M2, B1)
 WIDE = ClassifiedBasis(1, np.eye(2), ("I", "I"))
 BOUNDARY = LinearConstraint((0, 2), "boundary_data", [0.0], [1.0], [1.0])
+MIXED = LinearConstraint(1, "pre", [0.0, 1.0], [0.0, 0.0])
 SQUARE = expanding_square_sequence(2).sequence
 SQUARE_BASES = classify_sequence(SQUARE)
 
@@ -68,6 +75,23 @@ CASES = {
         lambda: LinearConstraint(0, "sideways", [1.0], [0.0]), "unknown constraint kind"),
     "constraint p and x lengths differ": (
         lambda: LinearConstraint(0, "pre", [1.0, 0.0], [0.0]), "must have equal length"),
+    "constraint 2-d coefficients": (
+        lambda: LinearConstraint(0, "pre", [[1.0, 0.0]], [[0.0, 0.0]]), "must be 1-D arrays"),
+    "constraint scalar coefficients": (
+        lambda: LinearConstraint(0, "pre", 1.0, 0.0), "must be 1-D arrays"),
+    "constraint far part of another length": (
+        lambda: hilbert_dims([LinearConstraint((0, 2), "boundary_data", p_coeffs=[0, 0],
+                                               x_coeffs=[1, 0], x_coeffs_other=[1.0])], 2),
+        "x_coeffs_other must be a 1-D array of the length of x_coeffs"),
+    "constraint 2-d far part": (
+        lambda: LinearConstraint((0, 2), "boundary_data", [0.0], [1.0], [[1.0]]),
+        "x_coeffs_other must be a 1-D array"),
+    "bracket_table set of mixed lengths": (
+        lambda: bracket_table([LinearConstraint(1, "pre", [1.0], [0.0]), MIXED], None, B1),
+        "must have equal length"),
+    "hilbert_dims set of mixed lengths": (
+        lambda: hilbert_dims([LinearConstraint(1, "pre", [1.0], [0.0]), MIXED], 2),
+        "must have equal length"),
     "constraint x part at a foreign step": (
         lambda: BOUNDARY.x_part_at(1), "does not live at step 1"),
     "constraint evaluate without x_other": (
